@@ -294,12 +294,12 @@ pub fn adaptive_ring_ab(adaptive: bool) -> AdaptiveRingAbRow {
     let burst_ops = 256u64;
     let trickle_ops = 16u64;
     let pcfg = PhotonConfig {
-        ring: Some(RingConfig {
+        ring: RingConfig {
             doorbell_batch: base_batch,
             doorbell_delay: Time::from_us(1),
             adaptive: adaptive.then(AdaptiveRing::default),
             ..RingConfig::default()
-        }),
+        },
         ..PhotonConfig::default()
     };
     let mut rt = Runtime::builder(2, GasMode::AgasNetwork)
@@ -308,6 +308,7 @@ pub fn adaptive_ring_ab(adaptive: bool) -> AdaptiveRingAbRow {
         .boot();
     let arr = rt.alloc(8, 16, Distribution::Single(1));
     let blocks = arr.blocks.clone();
+    let rings0 = rt.eng.state.total_ring_stats();
     let before = telemetry::snapshot();
 
     // Burst: one vectored issue, every descriptor aimed at locality 1.
@@ -338,6 +339,7 @@ pub fn adaptive_ring_ab(adaptive: bool) -> AdaptiveRingAbRow {
     }
     rt.assert_quiescent();
     let d = telemetry::snapshot().since(before);
+    let rings = rt.eng.state.total_ring_stats();
     let final_eff_batch = rt.eng.state.eps[0]
         .sub_ring_eff_batches()
         .iter()
@@ -348,8 +350,8 @@ pub fn adaptive_ring_ab(adaptive: bool) -> AdaptiveRingAbRow {
         base_batch,
         burst_ops,
         trickle_ops,
-        doorbells: d.ring_doorbells,
-        descs: d.ring_descs,
+        doorbells: rings.doorbells - rings0.doorbells,
+        descs: rings.descs - rings0.descs,
         batch_raised: d.doorbell_batch_raised,
         batch_lowered: d.doorbell_batch_lowered,
         burst_elapsed,

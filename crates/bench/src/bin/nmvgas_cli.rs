@@ -102,7 +102,10 @@ fn builder(args: &Args) -> (usize, GasMode, NetConfig, RtConfig) {
         } else {
             Transport::Pwc
         },
-        ring: args.bool("coalesce").then(netsim::RingConfig::default),
+        ring: args
+            .bool("coalesce")
+            .then(netsim::RingConfig::default)
+            .unwrap_or_else(netsim::RingConfig::unbatched),
         workers: args.get("workers", 4),
         ..RtConfig::default()
     };
@@ -151,7 +154,7 @@ fn main() {
         mode.label(),
         args.str("fabric", "ib"),
         rtcfg.transport,
-        if rtcfg.ring.is_some() {
+        if rtcfg.ring.doorbell_batch > 1 {
             " +ring-batching"
         } else {
             ""

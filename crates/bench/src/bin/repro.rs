@@ -575,7 +575,6 @@ struct PerfRow {
     window_narrowed: u64,
     doorbell_batch_raised: u64,
     doorbell_batch_lowered: u64,
-    migration_ring_descs: u64,
     members_joined: u64,
     members_drained: u64,
     members_crashed: u64,
@@ -612,7 +611,6 @@ impl PerfRow {
                 "\"amo_executed\":{},\"amo_nacked\":{},\"amo_forwarded\":{},",
                 "\"window_widened\":{},\"window_narrowed\":{},",
                 "\"doorbell_batch_raised\":{},\"doorbell_batch_lowered\":{},",
-                "\"migration_ring_descs\":{},",
                 "\"members_joined\":{},\"members_drained\":{},",
                 "\"members_crashed\":{},\"blocks_rehomed\":{},",
                 "\"blocks_recovered\":{},\"stale_xlate_dropped\":{}}}"
@@ -633,7 +631,6 @@ impl PerfRow {
             self.window_narrowed,
             self.doorbell_batch_raised,
             self.doorbell_batch_lowered,
-            self.migration_ring_descs,
             self.members_joined,
             self.members_drained,
             self.members_crashed,
@@ -667,7 +664,6 @@ fn measure(id: &str, series: &str, f: impl FnOnce()) -> PerfRow {
         window_narrowed: d.window_narrowed,
         doorbell_batch_raised: d.doorbell_batch_raised,
         doorbell_batch_lowered: d.doorbell_batch_lowered,
-        migration_ring_descs: d.migration_ring_descs,
         members_joined: d.members_joined,
         members_drained: d.members_drained,
         members_crashed: d.members_crashed,
@@ -1186,7 +1182,7 @@ fn ring(json: bool, ops: u64) {
         &format!("descriptor-ring issue path: doorbell batching + shm crossover ({ops} ops)"),
     );
     // Every cell reads process-wide telemetry deltas: strictly serial.
-    let rungs = [0usize, 1, 4, 16];
+    let rungs = [1usize, 4, 16];
     let ladder: Vec<RingLadderRow> = rungs.iter().map(|&b| ring_ladder_row(b, ops)).collect();
     if !json {
         println!(
@@ -1219,11 +1215,7 @@ fn ring(json: bool, ops: u64) {
         } else {
             println!(
                 "{:>6} {:>7} {:>12} {:>10} {:>9} {:>7} {:>8.2} {:>7} {:>8.4}",
-                if r.batch == 0 {
-                    "off".into()
-                } else {
-                    r.batch.to_string()
-                },
+                r.batch,
                 r.ops,
                 format!("{}", r.elapsed),
                 r.doorbells,
@@ -1297,6 +1289,13 @@ fn ring(json: bool, ops: u64) {
     let mut bad: Vec<String> = Vec::new();
     let rung = |b: usize| ladder.iter().find(|r| r.batch == b).expect("rung ran");
     let (b1, b16) = (rung(1), rung(16));
+    if b1.doorbells != 2 * b1.ops || b1.coalesced != 0 {
+        bad.push(format!(
+            "batch1: {} doorbells ({} coalesced) for {} puts — every put and every \
+             completion must pass through as its own doorbell",
+            b1.doorbells, b1.coalesced, b1.ops
+        ));
+    }
     if b16.doorbells == 0 {
         bad.push("batch16: rings never rang a doorbell".into());
     }

@@ -535,7 +535,9 @@ pub fn parcel_flood(coalesce: bool, k: u64) -> CoalesceRow {
     let mut rt = b
         .net(NetConfig::ethernet_10g())
         .rt_config(parcel_rt::RtConfig {
-            ring: coalesce.then(netsim::RingConfig::default),
+            ring: coalesce
+                .then(netsim::RingConfig::default)
+                .unwrap_or_else(netsim::RingConfig::unbatched),
             ..parcel_rt::RtConfig::default()
         })
         .boot();
@@ -571,7 +573,9 @@ pub fn bfs_coalescing(coalesce: bool) -> CoalesceRow {
     bfs::register_actions(&mut b, slot.clone());
     let mut rt = b
         .rt_config(parcel_rt::RtConfig {
-            ring: coalesce.then(netsim::RingConfig::default),
+            ring: coalesce
+                .then(netsim::RingConfig::default)
+                .unwrap_or_else(netsim::RingConfig::unbatched),
             ..parcel_rt::RtConfig::default()
         })
         .boot();
@@ -600,10 +604,14 @@ pub fn gups_coalescing_on(coalesce: bool, net: NetConfig) -> CoalesceRow {
     let mut rt = b
         .net(net)
         .rt_config(parcel_rt::RtConfig {
-            ring: coalesce.then(|| netsim::RingConfig {
-                doorbell_delay: Time::from_us(2),
-                ..netsim::RingConfig::default()
-            }),
+            ring: if coalesce {
+                netsim::RingConfig {
+                    doorbell_delay: Time::from_us(2),
+                    ..netsim::RingConfig::default()
+                }
+            } else {
+                netsim::RingConfig::unbatched()
+            },
             ..parcel_rt::RtConfig::default()
         })
         .boot();

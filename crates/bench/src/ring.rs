@@ -5,8 +5,8 @@
 //! * **Doorbell-batching ladder** — a vectored burst of small puts
 //!   ([`agas::ops::put_many`]) through the photon submission rings at
 //!   increasing `doorbell_batch`, showing doorbell events per op falling
-//!   as descriptors share drains (batch 0 = rings disabled, the per-op
-//!   issue baseline).
+//!   as descriptors share drains (batch 1 = the per-op issue baseline,
+//!   every descriptor passing straight through).
 //! * **Shm crossover** — the same single-op latency kernel run once over
 //!   the network AGAS path and once inside a [`ShmDomain`], where
 //!   co-located localities short-circuit the NIC with a load/store cost
@@ -16,7 +16,9 @@
 //! fetch-adds to one responder must share a single ring doorbell
 //! (telemetry `amo_batched`).
 //!
-//! Telemetry counters are process-wide deltas, so every kernel here runs
+//! Ring counters come from the run's own rings
+//! ([`parcel_rt::World::total_ring_stats`]); the event and AMO-batching
+//! counters are process-wide telemetry deltas, so every kernel here runs
 //! strictly serially (no rayon).
 
 use agas::{Distribution, GasMode};
@@ -33,11 +35,11 @@ fn class_for(size: u32) -> u8 {
 
 fn ring_photon(batch: usize, delay: Time) -> PhotonConfig {
     PhotonConfig {
-        ring: Some(RingConfig {
+        ring: RingConfig {
             doorbell_batch: batch,
             doorbell_delay: delay,
             ..RingConfig::default()
-        }),
+        },
         ..PhotonConfig::default()
     }
 }
@@ -45,7 +47,7 @@ fn ring_photon(batch: usize, delay: Time) -> PhotonConfig {
 /// One rung of the doorbell-batching ladder.
 #[derive(Clone, Debug)]
 pub struct RingLadderRow {
-    /// `doorbell_batch` setting (0 = rings disabled, per-op issue).
+    /// `doorbell_batch` setting (1 = per-op issue).
     pub batch: usize,
     /// 8-byte puts issued (one `put_many` burst).
     pub ops: u64,
@@ -89,18 +91,14 @@ impl RingLadderRow {
 /// to blocks homed at locality 1, issued in one [`agas::ops::put_many`]
 /// call so every same-peer descriptor is eligible for the same doorbell.
 pub fn ring_ladder_row(batch: usize, ops: u64) -> RingLadderRow {
-    let pcfg = if batch == 0 {
-        PhotonConfig::default()
-    } else {
-        ring_photon(batch, Time::from_us(1))
-    };
     let mut rt = Runtime::builder(2, GasMode::AgasNetwork)
         .net(NetConfig::ib_fdr())
-        .photon(pcfg)
+        .photon(ring_photon(batch, Time::from_us(1)))
         .boot();
     let arr = rt.alloc(8, 16, Distribution::Single(1));
     let blocks = arr.blocks.clone();
     let msgs0 = rt.counters().msgs_sent;
+    let rings0 = rt.eng.state.total_ring_stats();
     let before = telemetry::snapshot();
     let t0 = rt.now();
     let puts: Vec<_> = (0..ops)
@@ -113,17 +111,17 @@ pub fn ring_ladder_row(batch: usize, ops: u64) -> RingLadderRow {
     rt.run();
     rt.assert_quiescent();
     let d = telemetry::snapshot().since(before);
-    let stats = rt.eng.state.eps[0].ring_stats();
+    let rings = rt.eng.state.total_ring_stats();
     RingLadderRow {
         batch,
         ops,
         elapsed: rt.now() - t0,
         events: d.events,
         msgs: rt.counters().msgs_sent - msgs0,
-        doorbells: d.ring_doorbells,
-        descs: d.ring_descs,
-        coalesced: d.ring_coalesced,
-        max_occupancy: stats.max_occupancy,
+        doorbells: rings.doorbells - rings0.doorbells,
+        descs: rings.descs - rings0.descs,
+        coalesced: rings.coalesced - rings0.coalesced,
+        max_occupancy: rt.eng.state.eps[0].ring_stats().max_occupancy,
     }
 }
 
@@ -225,6 +223,7 @@ pub fn amo_ring_batching(per_initiator: u64) -> AmoRingRow {
         .boot();
     let arr = rt.alloc(1, 13, Distribution::Single(0));
     let hot = arr.block(0);
+    let rings0 = rt.eng.state.total_ring_stats();
     let before = telemetry::snapshot();
     let t0 = rt.now();
     for l in 1..4u32 {
@@ -239,7 +238,7 @@ pub fn amo_ring_batching(per_initiator: u64) -> AmoRingRow {
     AmoRingRow {
         amos: 3 * per_initiator,
         amo_batched: d.amo_batched,
-        doorbells: d.ring_doorbells,
+        doorbells: rt.eng.state.total_ring_stats().doorbells - rings0.doorbells,
         elapsed: rt.now() - t0,
         counter,
     }

@@ -56,9 +56,6 @@ pub struct RecoveryPolicy {
     pub evac_batch: usize,
     /// Delay between evacuation pump rounds.
     pub evac_interval: Time,
-    /// Recover from replica copies instead of zero re-issue. Not yet
-    /// implemented — reserved so plans can declare intent (follow-up).
-    pub replicas: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -68,7 +65,6 @@ impl Default for RecoveryPolicy {
             generation_bump: 1 << 20,
             evac_batch: 4,
             evac_interval: Time::from_ns(2_000),
-            replicas: false,
         }
     }
 }
@@ -110,12 +106,12 @@ pub struct GasConfig {
     /// [`crate::GasLocal::history`] for the serializability checker. Off by
     /// default (zero cost, zero memory growth).
     pub record_history: bool,
-    /// Post migration/free control traffic (requests, acks, directory
-    /// commits) through per-peer descriptor rings instead of one ad-hoc
-    /// send per message, sharing doorbells exactly like the data path.
-    /// `None` (the default) keeps the pre-ring schedules bit-identical
-    /// for the golden trace pins.
-    pub ctrl_ring: Option<RingConfig>,
+    /// The per-peer descriptor rings migration/free control traffic
+    /// (requests, acks, directory commits) posts through, exactly like the
+    /// data path. The default, [`RingConfig::unbatched`], sends each
+    /// message in the event that posts it; a larger `doorbell_batch`
+    /// shares doorbells and sends batches as one wire message.
+    pub ctrl_ring: RingConfig,
     /// Membership-plane recovery/evacuation tuning. Inert until a
     /// membership event fires (the defaults change no schedule).
     pub recovery: RecoveryPolicy,
@@ -135,7 +131,7 @@ impl Default for GasConfig {
             sweep_interval: Time::from_ns(2_000),
             retry_on_deadline: false,
             record_history: false,
-            ctrl_ring: None,
+            ctrl_ring: RingConfig::unbatched(),
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -163,5 +159,6 @@ mod tests {
         let c = GasConfig::default();
         assert!(c.max_attempts >= 8);
         assert!(c.sw_handler > c.local_op);
+        assert_eq!(c.ctrl_ring, RingConfig::unbatched());
     }
 }

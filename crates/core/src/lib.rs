@@ -476,9 +476,9 @@ pub struct GasLocal {
     /// This locality's view of the elastic membership plane (inert — zero
     /// overhead, zero schedule change — until a membership event fires).
     pub member: MembershipView,
-    /// Per-peer control-message rings ([`GasConfig::ctrl_ring`]):
-    /// migration/free protocol traffic batches here and shares doorbells.
-    pub(crate) ctrl_rings: Option<netsim::RingSet<GasMsg>>,
+    /// Per-peer control-message rings ([`GasConfig::ctrl_ring`]): every
+    /// migration/free protocol message posts here.
+    pub(crate) ctrl_rings: netsim::RingSet<GasMsg>,
     pub(crate) pending: OpTable<PendingOp>,
     pub(crate) next_seq: HashMap<u8, u64>,
     pub(crate) moving: HashMap<u64, MovingState>,
@@ -506,7 +506,7 @@ impl GasLocal {
             history: Vec::new(),
             word_history: Vec::new(),
             member: MembershipView::default(),
-            ctrl_rings: cfg.ctrl_ring.map(netsim::RingSet::new),
+            ctrl_rings: netsim::RingSet::new(cfg.ctrl_ring),
             pending: OpTable::new(),
             next_seq: HashMap::new(),
             moving: HashMap::new(),
@@ -535,28 +535,22 @@ impl GasLocal {
         self.sweep_armed
     }
 
-    /// Buffered control descriptors across this locality's migration
-    /// control rings (0 when [`GasConfig::ctrl_ring`] is off).
-    pub fn ctrl_ring_occupancy(&self) -> usize {
-        self.ctrl_rings
-            .as_ref()
-            .map_or(0, netsim::RingSet::occupancy)
-    }
-
     /// Stuck-descriptor snapshots of the control rings, for quiescence
     /// reports.
     pub fn ctrl_ring_snapshots(&self, now: Time) -> Vec<netsim::DescSnapshot> {
-        self.ctrl_rings
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.snapshots(now))
+        self.ctrl_rings.snapshots(now)
+    }
+
+    /// Doorbell/descriptor counters of this locality's control rings —
+    /// this engine's own count, unaffected by other runs in the process.
+    pub fn ctrl_ring_stats(&self) -> netsim::RingStats {
+        self.ctrl_rings.stats()
     }
 
     /// Per-peer effective doorbell batch of the control rings' AIMD
     /// controllers (empty when adaptive batching is off).
     pub fn ctrl_ring_eff_batches(&self) -> Vec<(LocalityId, usize)> {
-        self.ctrl_rings
-            .as_ref()
-            .map_or_else(Vec::new, netsim::RingSet::eff_batches)
+        self.ctrl_rings.eff_batches()
     }
 
     /// Diagnostic snapshots of every in-flight op issued here, in slot

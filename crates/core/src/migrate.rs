@@ -27,19 +27,18 @@
 
 use crate::gva::Gva;
 use crate::{GasMode, GasMsg, GasWorld, MovingState, PendingInstall};
-use netsim::{send_user, Desc, Engine, LocalityId, OpId, PushOutcome, Time, XlateEntry};
+use netsim::{send_user, Batch, Desc, Engine, LocalityId, OpId, Post, Time, XlateEntry};
 
 const MAX_ROUTE_HOPS: u8 = 64;
 
 /// Send one migration/free *control* message from `src` to `dst`.
 ///
-/// With [`crate::GasConfig::ctrl_ring`] set, the message posts into the
-/// sender's per-peer control ring and shares a doorbell with other control
-/// traffic toward the same peer — batches travel as one
-/// [`GasMsg::CtrlBatch`] wire message. With rings off (the default) this
-/// is exactly the old ad-hoc `send_user`, so every golden schedule is
-/// unchanged. Bulk `MigData` payloads and queued data-path accesses never
-/// ride the control ring.
+/// The message posts into the sender's per-peer control ring
+/// ([`crate::GasConfig::ctrl_ring`]). Unbatched (the default) it goes on
+/// the wire inside this event; batched, it shares a doorbell with other
+/// control traffic toward the same peer and batches travel as one
+/// [`GasMsg::CtrlBatch`] wire message. Bulk `MigData` payloads and queued
+/// data-path accesses never ride the control ring.
 pub(crate) fn send_ctrl<S: GasWorld>(
     eng: &mut Engine<S>,
     src: LocalityId,
@@ -48,54 +47,39 @@ pub(crate) fn send_ctrl<S: GasWorld>(
     msg: GasMsg,
 ) {
     let now = eng.now();
-    let g = eng.state.gas(src);
-    let Some(rings) = g.ctrl_rings.as_mut() else {
-        send_user(eng, src, dst, bytes, S::wrap_gas(msg));
-        return;
+    let desc = Desc {
+        item: msg,
+        bytes,
+        kind: "migrate",
+        enqueued: now,
     };
-    netsim::telemetry::record_migration_ring(1);
-    match rings.push(
-        dst,
-        Desc {
-            item: msg,
-            bytes,
-            kind: "migrate",
-            enqueued: now,
-        },
-    ) {
-        PushOutcome::Flush => ctrl_doorbell(eng, src, dst),
-        PushOutcome::Armed(epoch) => {
+    let rings = &mut eng.state.gas(src).ctrl_rings;
+    match rings.post(dst, desc) {
+        Post::Issue(batch) => ctrl_doorbell(eng, src, dst, batch),
+        Post::Armed(epoch) => {
             // Arm the doorbell timer on the *sender's* lane; the epoch
             // guard stands the timer down if a flush got there first.
             let delay = rings.effective_delay(dst);
             eng.schedule_at_loc(now + delay, src, move |eng| {
-                let due = eng
-                    .state
-                    .gas(src)
-                    .ctrl_rings
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(dst, epoch));
-                if due {
-                    ctrl_doorbell(eng, src, dst);
+                let rings = &mut eng.state.gas(src).ctrl_rings;
+                if rings.timer_due(dst, epoch) {
+                    let batch = rings.drain(dst);
+                    ctrl_doorbell(eng, src, dst, batch);
                 }
             });
         }
-        PushOutcome::Buffered => {}
+        Post::Buffered => {}
     }
 }
 
-/// Ring the control-ring doorbell toward `dst`: drain the ring and put
-/// the whole batch on the wire as one message.
-fn ctrl_doorbell<S: GasWorld>(eng: &mut Engine<S>, src: LocalityId, dst: LocalityId) {
-    let batch = eng
-        .state
-        .gas(src)
-        .ctrl_rings
-        .as_mut()
-        .map_or_else(Vec::new, |r| r.drain(dst));
-    if batch.is_empty() {
-        return;
-    }
+/// Ring the control-ring doorbell toward `dst`: put `batch` on the wire
+/// as one message (a lone message travels bare).
+fn ctrl_doorbell<S: GasWorld>(
+    eng: &mut Engine<S>,
+    src: LocalityId,
+    dst: LocalityId,
+    batch: Batch<GasMsg>,
+) {
     let bytes: u32 = batch.iter().map(|d| d.bytes).sum();
     let mut msgs: Vec<GasMsg> = batch.into_iter().map(|d| d.item).collect();
     let wire = if msgs.len() == 1 {

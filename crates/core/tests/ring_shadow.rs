@@ -1,10 +1,11 @@
 //! Ring-batched schedules, replayed under the sharded engine.
 //!
-//! The golden pins (`trace_pin.rs`, `shard_pin.rs`) all run with rings
-//! disabled — that keeps their hashes stable across the ring refactor.
-//! This suite covers the *enabled* side: with descriptor rings posting
-//! batched doorbells and moderation timers coalescing completions, the
-//! schedule is still a pure function of the seed, so the sequential run's
+//! The golden pins (`trace_pin.rs`, `shard_pin.rs`) run on the default
+//! batch-of-one rings, where every descriptor passes straight through —
+//! the per-op schedule. This suite covers *batched* rings: with
+//! descriptors sharing doorbells and moderation timers coalescing
+//! completions, the schedule is still a pure function of the seed, so the
+//! sequential run's
 //! `(trace_hash, now, events)` must be reproduced bit-for-bit under shard
 //! lane counts {1, 2, 4, 8}, and the chaos drop/corrupt cells must stay
 //! violation-free and lane-invariant with every op issued through rings.
@@ -23,17 +24,17 @@ use netsim::{
 };
 use photon::PhotonConfig;
 
-/// Lane counts every ring-enabled scenario must agree across. The
+/// Lane counts every ring-batched scenario must agree across. The
 /// sequential engine (`None`) is the reference.
 const GRID: [Option<usize>; 5] = [None, Some(1), Some(2), Some(4), Some(8)];
 
 fn ring_photon() -> PhotonConfig {
     PhotonConfig {
-        ring: Some(RingConfig {
+        ring: RingConfig {
             doorbell_batch: 4,
             doorbell_delay: Time::from_us(2),
             ..RingConfig::default()
-        }),
+        },
         ..PhotonConfig::default()
     }
 }

@@ -377,32 +377,37 @@ mod tests {
     #[test]
     fn controllers_are_pure_functions_of_history() {
         // Same observation sequence → same decision sequence and state,
-        // regardless of when or where the controller runs.
+        // regardless of when or where the controller runs. Each run builds
+        // its controller inside the closure: rustc 1.95 miscompiles a
+        // closure that mutates a by-value argument equal to an earlier
+        // call's (docs/rustc-gvn-closure-arg.md).
         let obs: Vec<(u64, u64)> = (0..200)
             .map(|i: u64| ((i * 37) % 400, (i * 91) % 2000))
             .collect();
-        let run = |mut c: WindowController| {
+        let run = |cfg: AdaptiveWindow| {
+            let mut c = WindowController::new(cfg);
             let mut out = Vec::new();
             for &(e, p) in &obs {
                 out.push((c.observe(e, p), c.mult(), c.serial()));
             }
             out
         };
-        let a = run(WindowController::new(AdaptiveWindow::default()));
-        let b = run(WindowController::new(AdaptiveWindow::default()));
+        let a = run(AdaptiveWindow::default());
+        let b = run(AdaptiveWindow::default());
         assert_eq!(a, b);
 
         let flushes: Vec<(u32, bool)> =
             (0..200).map(|i: u32| ((i * 13) % 70, i % 3 == 0)).collect();
-        let run = |mut c: RingController| {
+        let run = |cfg: AdaptiveRing| {
+            let mut c = RingController::new(cfg, 16);
             let mut out = Vec::new();
             for &(o, t) in &flushes {
                 out.push((c.on_flush(o, t), c.eff_batch()));
             }
             out
         };
-        let a = run(RingController::new(AdaptiveRing::default(), 16));
-        let b = run(RingController::new(AdaptiveRing::default(), 16));
+        let a = run(AdaptiveRing::default());
+        let b = run(AdaptiveRing::default());
         assert_eq!(a, b);
     }
 }

@@ -61,7 +61,7 @@ pub use net::{
 pub use nic::{LocalityId, Nic, Xlate, XlateEntry, XlateTable};
 pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};
 pub use queue::ServerPool;
-pub use ring::{Desc, DescSnapshot, PushOutcome, Ring, RingConfig, RingSet, RingStats};
+pub use ring::{Batch, Desc, DescSnapshot, Post, Ring, RingConfig, RingSet, RingStats};
 pub use shard::{ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};
 pub use stats::{Counters, LogHistogram, TimeWeighted};
 pub use time::Time;

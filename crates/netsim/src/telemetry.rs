@@ -28,7 +28,6 @@ static WINDOW_WIDENED: AtomicU64 = AtomicU64::new(0);
 static WINDOW_NARROWED: AtomicU64 = AtomicU64::new(0);
 static DOORBELL_BATCH_RAISED: AtomicU64 = AtomicU64::new(0);
 static DOORBELL_BATCH_LOWERED: AtomicU64 = AtomicU64::new(0);
-static MIGRATION_RING_DESCS: AtomicU64 = AtomicU64::new(0);
 static MEMBERS_JOINED: AtomicU64 = AtomicU64::new(0);
 static MEMBERS_DRAINED: AtomicU64 = AtomicU64::new(0);
 static MEMBERS_CRASHED: AtomicU64 = AtomicU64::new(0);
@@ -75,9 +74,10 @@ pub fn record_amo(executed: u64, nacked: u64, forwarded: u64) {
     }
 }
 
-/// Fold one descriptor-ring doorbell into the process totals (called by
-/// [`crate::ring::Ring::drain`]). `coalesced` is the number of descriptors
-/// that shared the doorbell with an earlier one — the saved per-op events.
+/// Fold a descriptor ring's doorbell counters into the process totals
+/// (called once per ring, when it drops). `coalesced` is the number of
+/// descriptors that shared a doorbell with an earlier one — the saved
+/// per-op events.
 pub fn record_ring(doorbells: u64, descs: u64, coalesced: u64) {
     if doorbells > 0 {
         RING_DOORBELLS.fetch_add(doorbells, Ordering::Relaxed);
@@ -126,14 +126,6 @@ pub fn record_doorbell_adapt(raised: u64, lowered: u64) {
     }
     if lowered > 0 {
         DOORBELL_BATCH_LOWERED.fetch_add(lowered, Ordering::Relaxed);
-    }
-}
-
-/// Fold migration control descriptors posted through a descriptor ring
-/// (instead of ad-hoc sends) into the process totals.
-pub fn record_migration_ring(descs: u64) {
-    if descs > 0 {
-        MIGRATION_RING_DESCS.fetch_add(descs, Ordering::Relaxed);
     }
 }
 
@@ -200,7 +192,8 @@ pub struct Snapshot {
     pub amo_nacked: u64,
     /// AMO requests re-injected through a forwarding entry.
     pub amo_forwarded: u64,
-    /// Descriptor-ring doorbells rung (one per non-empty drain).
+    /// Descriptor-ring doorbells rung (one per non-empty drain or
+    /// pass-through), counted when each ring drops.
     pub ring_doorbells: u64,
     /// Descriptors that passed through rings.
     pub ring_descs: u64,
@@ -223,8 +216,6 @@ pub struct Snapshot {
     /// AIMD multiplicative-decrease steps taken by ring doorbell
     /// controllers.
     pub doorbell_batch_lowered: u64,
-    /// Migration control messages that posted through a descriptor ring.
-    pub migration_ring_descs: u64,
     /// Localities that completed a Joining → Active transition.
     pub members_joined: u64,
     /// Localities that completed a Draining → Left transition.
@@ -261,7 +252,6 @@ impl Snapshot {
             window_narrowed: self.window_narrowed - earlier.window_narrowed,
             doorbell_batch_raised: self.doorbell_batch_raised - earlier.doorbell_batch_raised,
             doorbell_batch_lowered: self.doorbell_batch_lowered - earlier.doorbell_batch_lowered,
-            migration_ring_descs: self.migration_ring_descs - earlier.migration_ring_descs,
             members_joined: self.members_joined - earlier.members_joined,
             members_drained: self.members_drained - earlier.members_drained,
             members_crashed: self.members_crashed - earlier.members_crashed,
@@ -293,7 +283,6 @@ pub fn snapshot() -> Snapshot {
         window_narrowed: WINDOW_NARROWED.load(Ordering::Relaxed),
         doorbell_batch_raised: DOORBELL_BATCH_RAISED.load(Ordering::Relaxed),
         doorbell_batch_lowered: DOORBELL_BATCH_LOWERED.load(Ordering::Relaxed),
-        migration_ring_descs: MIGRATION_RING_DESCS.load(Ordering::Relaxed),
         members_joined: MEMBERS_JOINED.load(Ordering::Relaxed),
         members_drained: MEMBERS_DRAINED.load(Ordering::Relaxed),
         members_crashed: MEMBERS_CRASHED.load(Ordering::Relaxed),

@@ -361,7 +361,7 @@ proptest! {
 
 // ---------------------------------------------------------------- rings
 
-use netsim::{Desc, PushOutcome, Ring, RingConfig, RingSet};
+use netsim::{Batch, Desc, Post, Ring, RingConfig, RingSet};
 
 fn rdesc(seq: u64, bytes: u32) -> Desc<u64> {
     Desc {
@@ -373,11 +373,11 @@ fn rdesc(seq: u64, bytes: u32) -> Desc<u64> {
 }
 
 proptest! {
-    /// Push/drain interleavings against a naive shadow queue: FIFO order
-    /// across slot wraparound, occupancy bounded by `depth`, byte
-    /// accounting exact, and every flush outcome matching the configured
-    /// thresholds. Tiny depths with long op streams force the free-running
-    /// head/tail counters to wrap many times.
+    /// Post/drain interleavings against a naive shadow queue: FIFO order
+    /// across many batches, occupancy bounded by `depth`, byte accounting
+    /// exact, and every flush outcome (pass-through included) matching the
+    /// configured thresholds. Tiny depths with long op streams refill the
+    /// ring many times.
     #[test]
     fn ring_matches_shadow(
         depth in 1usize..8,
@@ -395,10 +395,10 @@ proptest! {
         let mut shadow: std::collections::VecDeque<(u64, u32)> = Default::default();
         let mut next = 0u64;
         let mut delivered: Vec<u64> = Vec::new();
-        let check_drain = |ring: &mut Ring<u64>,
+        let check_batch = |batch: Batch<u64>,
                                shadow: &mut std::collections::VecDeque<(u64, u32)>,
                                delivered: &mut Vec<u64>| {
-            for d in ring.drain() {
+            for d in batch {
                 let (want, wb) = shadow.pop_front().expect("ring ahead of shadow");
                 prop_assert_eq!((d.item, d.bytes), (want, wb));
                 delivered.push(d.item);
@@ -408,26 +408,26 @@ proptest! {
         for (op, b) in ops {
             if op == 0 && !shadow.is_empty() {
                 // A spontaneous doorbell (the moderation timer firing).
-                check_drain(&mut ring, &mut shadow, &mut delivered);
+                check_batch(ring.drain(), &mut shadow, &mut delivered);
             } else {
                 let seq = next;
                 next += 1;
-                let outcome = ring.push(rdesc(seq, b));
+                let outcome = ring.post(rdesc(seq, b));
                 shadow.push_back((seq, b));
                 let occ = shadow.len();
                 let bytes: u64 = shadow.iter().map(|&(_, sb)| sb as u64).sum();
                 let must_flush =
                     occ >= batch || bytes >= max_bytes as u64 || occ == depth;
                 match outcome {
-                    PushOutcome::Flush => {
+                    Post::Issue(batch) => {
                         prop_assert!(must_flush, "flush below every threshold");
-                        check_drain(&mut ring, &mut shadow, &mut delivered);
+                        check_batch(batch, &mut shadow, &mut delivered);
                     }
-                    PushOutcome::Armed(_) => {
+                    Post::Armed(_) => {
                         prop_assert!(!must_flush, "armed past a flush threshold");
                         prop_assert_eq!(occ, 1);
                     }
-                    PushOutcome::Buffered => {
+                    Post::Buffered => {
                         prop_assert!(!must_flush, "buffered past a flush threshold");
                         prop_assert!(occ > 1);
                     }
@@ -440,8 +440,8 @@ proptest! {
                 shadow.iter().map(|&(_, sb)| sb as u64).sum::<u64>()
             );
         }
-        check_drain(&mut ring, &mut shadow, &mut delivered);
-        // Exactly-once delivery, in post order, across every wraparound.
+        check_batch(ring.drain(), &mut shadow, &mut delivered);
+        // Exactly-once delivery, in post order, across every refill.
         prop_assert_eq!(delivered, (0..next).collect::<Vec<_>>());
     }
 
@@ -466,16 +466,15 @@ proptest! {
                     a.1 = true;
                 }
             } else {
-                match ring.push(rdesc(0, 1)) {
-                    PushOutcome::Armed(e) => armed = Some((e, false)),
-                    PushOutcome::Flush => {
-                        // Full ring: the caller-contract drain.
-                        ring.drain();
+                match ring.post(rdesc(0, 1)) {
+                    Post::Armed(e) => armed = Some((e, false)),
+                    Post::Issue(_) => {
+                        // Full ring: the post drained it.
                         if let Some(a) = armed.as_mut() {
                             a.1 = true;
                         }
                     }
-                    PushOutcome::Buffered => {}
+                    Post::Buffered => {}
                 }
             }
             if let Some((e, drained_since)) = armed {
@@ -560,7 +559,7 @@ proptest! {
         }
     }
 
-    /// The same push/drain schedule over a `RingSet` replays bit-identically:
+    /// The same post/drain schedule over a `RingSet` replays bit-identically:
     /// drain contents, doorbell/desc/coalesce counters, and occupancy peaks
     /// are pure functions of the op sequence (the determinism the moderation
     /// timers lean on).
@@ -578,13 +577,13 @@ proptest! {
             let mut seq = 0u64;
             for &(peer, b) in ops {
                 seq += 1;
-                if let PushOutcome::Flush = rs.push(peer, rdesc(seq, b)) {
-                    for d in rs.drain(peer) {
+                if let Post::Issue(batch) = rs.post(peer, rdesc(seq, b)) {
+                    for d in batch {
                         log.push((peer, d.item));
                     }
                 }
             }
-            for peer in rs.busy_peers() {
+            for peer in 0..5 {
                 for d in rs.drain(peer) {
                     log.push((peer, d.item));
                 }

@@ -498,10 +498,8 @@ impl Runtime {
             for s in w.gas[l as usize].op_snapshots() {
                 stuck.push(format!("  locality {l}: {}", s.render(now)));
             }
-            if let Some(rings) = &w.rt[l as usize].parcel_rings {
-                for d in rings.snapshots(now) {
-                    stuck.push(format!("  locality {l}: {}", d.render()));
-                }
+            for d in w.rt[l as usize].parcel_rings.snapshots(now) {
+                stuck.push(format!("  locality {l}: {}", d.render()));
             }
             for d in w.gas[l as usize].ctrl_ring_snapshots(now) {
                 stuck.push(format!("  locality {l}: {}", d.render()));
@@ -552,10 +550,7 @@ impl Runtime {
             "  window multiplier: x1 (sequential engine)".to_string(),
         ];
         for l in 0..w.cluster.len() as u32 {
-            let parcel = w.rt[l as usize]
-                .parcel_rings
-                .as_ref()
-                .map_or_else(Vec::new, netsim::RingSet::eff_batches);
+            let parcel = w.rt[l as usize].parcel_rings.eff_batches();
             if !parcel.is_empty() {
                 out.push(format!("  locality {l}: parcel ring eff_batch {parcel:?}"));
             }

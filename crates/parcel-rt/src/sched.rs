@@ -16,7 +16,7 @@ use crate::lco::{self, LCO_CLASS};
 use crate::parcel::{ActionCtx, Parcel, ACTION_LCO_SET};
 use crate::world::{RtWorld, Transport, PARCEL_TAG};
 
-use netsim::{send_user, Desc, Engine, LocalityId, PushOutcome, Time, TraceKind};
+use netsim::{send_user, Batch, Desc, Engine, LocalityId, Post, Time, TraceKind};
 
 const MAX_PARCEL_HOPS: u8 = 64;
 
@@ -43,14 +43,12 @@ pub(crate) fn transmit<W: RtWorld>(
     parcel: Parcel,
 ) {
     match eng.state.rtcfg().transport {
-        Transport::Pwc => {
-            if from != next && eng.state.rt(from).parcel_rings.is_some() {
-                ring_submit(eng, from, next, parcel);
-                return;
-            }
+        Transport::Pwc if from == next => {
+            // Loop-back never touches the NIC, so it skips the rings.
             let wire = parcel.wire_size();
             send_user(eng, from, next, wire, W::wrap_parcel(parcel));
         }
+        Transport::Pwc => ring_submit(eng, from, next, parcel),
         Transport::Isir => {
             // Serialize and go through the tag-matching two-sided path
             // (eager/rendezvous + credits), as an MPI-backed runtime would.
@@ -61,8 +59,8 @@ pub(crate) fn transmit<W: RtWorld>(
 }
 
 /// Post `parcel` as a descriptor into `from`'s submission ring toward
-/// `next`, ringing the doorbell when the batch threshold trips and arming
-/// the moderation timer when the ring transitions from empty.
+/// `next`: send it now, arm the doorbell timer, or leave it buffered, as
+/// the ring directs.
 fn ring_submit<W: RtWorld>(
     eng: &mut Engine<W>,
     from: LocalityId,
@@ -76,66 +74,52 @@ fn ring_submit<W: RtWorld>(
         kind: "parcel",
         enqueued: now,
     };
-    let rings = eng
-        .state
-        .rt(from)
-        .parcel_rings
-        .as_mut()
-        .expect("ring_submit without rings configured");
-    match rings.push(next, desc) {
-        PushOutcome::Flush => ring_doorbell(eng, from, next),
-        PushOutcome::Armed(epoch) => {
+    let rings = &mut eng.state.rt(from).parcel_rings;
+    match rings.post(next, desc) {
+        Post::Issue(batch) => ring_doorbell(eng, from, next, batch),
+        Post::Armed(epoch) => {
             // The adaptive controller may have shrunk the effective batch
             // — and with it the moderation delay — since construction.
-            let delay = eng
-                .state
-                .rt(from)
-                .parcel_rings
-                .as_ref()
-                .expect("rings vanished")
-                .effective_delay(next);
+            let delay = rings.effective_delay(next);
             eng.schedule_at_loc(now + delay, from, move |eng| {
-                let due = eng
-                    .state
-                    .rt(from)
-                    .parcel_rings
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(next, epoch));
-                if due {
-                    ring_doorbell(eng, from, next);
+                let rings = &mut eng.state.rt(from).parcel_rings;
+                if rings.timer_due(next, epoch) {
+                    let batch = rings.drain(next);
+                    ring_doorbell(eng, from, next, batch);
                 }
             });
         }
-        PushOutcome::Buffered => {}
+        Post::Buffered => {}
     }
 }
 
-/// Ring the doorbell: drain `from`'s submission ring toward `next` and send
-/// the whole batch as one wire message (summed payloads + one shared header).
-fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: LocalityId) {
-    let descs = eng
-        .state
-        .rt(from)
-        .parcel_rings
-        .as_mut()
-        .expect("doorbell without rings configured")
-        .drain(next);
-    if descs.is_empty() {
-        return;
-    }
-    eng.state.rt(from).stats.batches_sent += 1;
+/// Ring the doorbell: send `batch` toward `next` as one wire message
+/// (summed payloads). A parcel that passed straight through travels bare;
+/// a drained ring travels as one batch message.
+fn ring_doorbell<W: RtWorld>(
+    eng: &mut Engine<W>,
+    from: LocalityId,
+    next: LocalityId,
+    batch: Batch<Parcel>,
+) {
     let now = eng.now();
     eng.state.cluster().tracer.record(
         now,
         TraceKind::Doorbell {
             at: from,
             peer: next,
-            descs: descs.len() as u32,
+            descs: batch.len() as u32,
         },
     );
-    let wire: u32 = descs.iter().map(|d| d.bytes).sum();
-    let parcels: Vec<Parcel> = descs.into_iter().map(|d| d.item).collect();
-    send_user(eng, from, next, wire, W::wrap_batch(parcels));
+    let wire: u32 = batch.iter().map(|d| d.bytes).sum();
+    let msg = match batch {
+        Batch::One(d) => W::wrap_parcel(d.item),
+        Batch::Many(descs) => {
+            eng.state.rt(from).stats.batches_sent += 1;
+            W::wrap_batch(descs.into_iter().map(|d| d.item).collect())
+        }
+    };
+    send_user(eng, from, next, wire, msg);
 }
 
 /// A parcel arrived at `dst` (called from the world's packet dispatch).

@@ -50,13 +50,13 @@ pub struct WorkloadSpec {
     pub lanes: Option<usize>,
     /// Adaptive lookahead windows (sharded runs only).
     pub adaptive: Option<AdaptiveWindow>,
-    /// Parcel submission rings (coalescing doorbells), if any.
-    pub ring: Option<RingConfig>,
+    /// Parcel submission rings (batched doorbells coalesce parcels).
+    pub ring: RingConfig,
 }
 
 impl WorkloadSpec {
     /// A small default cluster: `n` localities, ideal fabric, seed 42,
-    /// sequential engine, no rings.
+    /// sequential engine, unbatched rings.
     pub fn new(n: usize, mode: GasMode) -> WorkloadSpec {
         WorkloadSpec {
             n,
@@ -65,7 +65,7 @@ impl WorkloadSpec {
             seed: 42,
             lanes: None,
             adaptive: None,
-            ring: None,
+            ring: RingConfig::unbatched(),
         }
     }
 }

@@ -38,13 +38,14 @@ pub enum Transport {
 pub struct RtConfig {
     /// Parcel network backend.
     pub transport: Transport,
-    /// Per-destination parcel submission rings (PWC transport only; `None`
-    /// sends every parcel immediately). Parcels post as descriptors into
-    /// the shared [`netsim::ring`] layer and one doorbell per drain sends
-    /// the whole batch as a single wire message — the message-aggregation
-    /// optimization the AM++/HPX graph papers lean on, now expressed on
-    /// the same rings photon issues through.
-    pub ring: Option<RingConfig>,
+    /// Per-destination parcel submission rings (PWC transport only).
+    /// Parcels post as descriptors into the shared [`netsim::ring`] layer;
+    /// the default, [`RingConfig::unbatched`], sends every parcel as its
+    /// own message. A larger `doorbell_batch` sends each drained batch as
+    /// a single wire message — the message-aggregation optimization the
+    /// AM++/HPX graph papers lean on, on the same rings photon issues
+    /// through.
+    pub ring: RingConfig,
     /// Worker threads per locality (the CPU pool shared by actions and GAS
     /// software handlers).
     pub workers: usize,
@@ -60,7 +61,7 @@ impl Default for RtConfig {
     fn default() -> RtConfig {
         RtConfig {
             transport: Transport::Pwc,
-            ring: None,
+            ring: RingConfig::unbatched(),
             workers: 4,
             action_base: Time::from_ns(800),
             recv_per_byte_ps: 25,
@@ -80,7 +81,8 @@ pub struct RtStats {
     pub parcels_forwarded: u64,
     /// LCO operations applied here.
     pub lco_ops: u64,
-    /// Coalesced batches injected from this locality.
+    /// Drained ring batches injected from this locality (one wire message
+    /// each).
     pub batches_sent: u64,
 }
 
@@ -94,32 +96,24 @@ pub struct RtLocal {
     /// the APEX-style instrumentation HPX-5 shipped.
     pub action_profile: HashMap<u32, (u64, Time)>,
     pub(crate) next_lco_seq: u64,
-    /// Per-destination parcel submission rings (present when
-    /// [`RtConfig::ring`] is set).
-    pub(crate) parcel_rings: Option<RingSet<Parcel>>,
+    /// Per-destination parcel submission rings ([`RtConfig::ring`]).
+    pub(crate) parcel_rings: RingSet<Parcel>,
 }
 
 impl RtLocal {
-    fn new(ring: Option<RingConfig>) -> RtLocal {
+    pub(crate) fn new(ring: RingConfig) -> RtLocal {
         RtLocal {
             lcos: HashMap::new(),
             stats: RtStats::default(),
             action_profile: HashMap::new(),
             next_lco_seq: 0,
-            parcel_rings: ring.map(RingSet::new),
+            parcel_rings: RingSet::new(ring),
         }
-    }
-
-    /// Parcels currently buffered in this locality's submission rings.
-    pub fn ring_occupancy(&self) -> usize {
-        self.parcel_rings.as_ref().map_or(0, RingSet::occupancy)
     }
 
     /// Pooled ring counters for this locality's parcel rings.
     pub fn ring_stats(&self) -> netsim::RingStats {
-        self.parcel_rings
-            .as_ref()
-            .map_or_else(Default::default, RingSet::stats)
+        self.parcel_rings.stats()
     }
 }
 
@@ -299,6 +293,19 @@ impl World {
             total.parcels_forwarded += r.stats.parcels_forwarded;
             total.lco_ops += r.stats.lco_ops;
             total.batches_sent += r.stats.batches_sent;
+        }
+        total
+    }
+
+    /// Counters pooled over every descriptor ring this run owns: photon
+    /// submission and completion rings, parcel rings and GAS control
+    /// rings, across localities.
+    pub fn total_ring_stats(&self) -> netsim::RingStats {
+        let mut total = netsim::RingStats::default();
+        for l in 0..self.rt.len() {
+            total.absorb(&self.eps[l].ring_stats());
+            total.absorb(&self.rt[l].ring_stats());
+            total.absorb(&self.gas[l].ctrl_ring_stats());
         }
         total
     }

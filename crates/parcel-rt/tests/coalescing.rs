@@ -9,12 +9,12 @@ use std::rc::Rc;
 
 fn ringed(doorbell_batch: usize, doorbell_delay: Time) -> RtConfig {
     RtConfig {
-        ring: Some(RingConfig {
+        ring: RingConfig {
             doorbell_batch,
             doorbell_delay,
             max_bytes: 1 << 20,
             ..RingConfig::default()
-        }),
+        },
         ..RtConfig::default()
     }
 }
@@ -63,7 +63,7 @@ fn ring_batching_delivers_everything() {
 
 #[test]
 fn ring_batching_cuts_message_count() {
-    let run = |ring: Option<RingConfig>| {
+    let run = |ring: RingConfig| {
         let mut b = Runtime::builder(2, GasMode::AgasNetwork);
         let bump = b.register("bump", |_, _| {});
         let mut rt = b
@@ -79,8 +79,8 @@ fn ring_batching_cuts_message_count() {
         rt.run();
         rt.counters().msgs_sent
     };
-    let plain = run(None);
-    let batched = run(Some(RingConfig::default()));
+    let plain = run(RingConfig::unbatched());
+    let batched = run(RingConfig::default());
     assert!(
         batched * 4 < plain,
         "batched={batched} plain={plain}: ring batching should slash message count"

@@ -90,7 +90,9 @@ proptest! {
                 .seed(seed)
                 .rt_config(RtConfig {
                     transport,
-                    ring: coalesce.then(RingConfig::default),
+                    ring: coalesce
+                        .then(RingConfig::default)
+                        .unwrap_or_else(RingConfig::unbatched),
                     ..RtConfig::default()
                 })
                 .boot();

@@ -102,7 +102,7 @@ fn ringed_parcels_stay_lane_independent() {
         ..RingConfig::default()
     };
     let spec = WorkloadSpec {
-        ring: Some(ring),
+        ring,
         ..WorkloadSpec::new(6, GasMode::AgasNetwork)
     };
     grid("spray_reduce+ring", false, spray_reduce, spec);

@@ -31,11 +31,11 @@ pub struct PhotonConfig {
     pub reg_per_page: Time,
     /// Page size for registration accounting.
     pub page_bytes: u64,
-    /// Descriptor-ring issue path: when set, PWC puts/gets/AMOs post into
-    /// per-peer submission rings (batched doorbells) and NIC completions
-    /// coalesce under the moderation timer. `None` (the default) keeps the
-    /// one-doorbell-per-op schedules the golden trace pins are built on.
-    pub ring: Option<RingConfig>,
+    /// The descriptor rings every PWC put/get/AMO posts into (per-peer
+    /// submission rings) and every NIC completion coalesces through. The
+    /// default, [`RingConfig::unbatched`], rings one doorbell per op; a
+    /// larger `doorbell_batch` shares doorbells and moderates completions.
+    pub ring: RingConfig,
 }
 
 impl Default for PhotonConfig {
@@ -50,7 +50,7 @@ impl Default for PhotonConfig {
             reg_base: Time::from_us(10),
             reg_per_page: Time::from_ns(180),
             page_bytes: 4096,
-            ring: None,
+            ring: RingConfig::unbatched(),
         }
     }
 }
@@ -66,15 +66,15 @@ mod tests {
         assert!(c.ledger_slots >= 1);
         assert!(c.rcache_enabled);
         assert!(c.reg_base > Time::ZERO);
-        assert!(c.ring.is_none(), "rings are strictly opt-in");
+        assert_eq!(c.ring, RingConfig::unbatched(), "batching is opt-in");
     }
 
     #[test]
     fn ring_config_is_opt_in() {
         let c = PhotonConfig {
-            ring: Some(RingConfig::default()),
+            ring: RingConfig::default(),
             ..PhotonConfig::default()
         };
-        assert_eq!(c.ring.unwrap().doorbell_batch, 16);
+        assert_eq!(c.ring.doorbell_batch, 16);
     }
 }

@@ -32,9 +32,10 @@ pub use matching::{MatchQueue, Unexpected, ANY_TAG};
 pub use rcache::RegCache;
 
 use netsim::{
-    rdma_amo, rdma_get, rdma_put, send_user, AmoKey, AmoOp, AmoReq, AmoResult, Desc, DescSnapshot,
-    Engine, FaultClass, GetReq, LocalityId, NackReason, OpId, OpKind, OpTable, Packet, PhysAddr,
-    Protocol, PushOutcome, PutReq, RdmaTarget, Ring, RingSet, RingStats, Time, TraceKind,
+    rdma_amo, rdma_get, rdma_put, send_user, AmoKey, AmoOp, AmoReq, AmoResult, Batch, Desc,
+    DescSnapshot, Engine, FaultClass, GetReq, LocalityId, NackReason, OpId, OpKind, OpTable,
+    Packet, PhysAddr, Post, Protocol, PutReq, RdmaTarget, Ring, RingSet, RingStats, Time,
+    TraceKind,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -99,7 +100,7 @@ pub struct PhotonStats {
     /// CTS for an unknown rendezvous send), dropped.
     pub protocol_violations: u64,
     /// AMO descriptors that shared a submission doorbell with another AMO
-    /// to the same responder (only counted with the ring path enabled).
+    /// to the same responder.
     pub amo_batched: u64,
 }
 
@@ -153,11 +154,11 @@ pub struct PhotonEndpoint {
     rdv_recvs: HashMap<u64, RdvRecv>,
     next_send_id: u64,
     remote_ledger: VecDeque<(u64, u32)>,
-    /// Per-peer submission rings (`Some` iff [`PhotonConfig::ring`] is set).
-    subq: Option<RingSet<RingOp>>,
+    /// Per-peer submission rings ([`PhotonConfig::ring`]).
+    subq: RingSet<RingOp>,
     /// The completion-coalescing ring, moderated by
     /// [`netsim::RingConfig::moderation`].
-    compq: Option<Ring<CompEvent>>,
+    compq: Ring<CompEvent>,
 }
 
 impl PhotonEndpoint {
@@ -174,8 +175,8 @@ impl PhotonEndpoint {
             rdv_recvs: HashMap::new(),
             next_send_id: 0,
             remote_ledger: VecDeque::new(),
-            subq: cfg.ring.map(RingSet::new),
-            compq: cfg.ring.map(Ring::new),
+            subq: RingSet::new(cfg.ring),
+            compq: Ring::new(cfg.ring),
             cfg,
         }
     }
@@ -225,40 +226,25 @@ impl PhotonEndpoint {
         &self.matching
     }
 
-    /// Descriptors waiting in the submission and completion rings (0 with
-    /// rings disabled) — drained work that has not yet entered the fabric
-    /// or reached its callback.
+    /// Descriptors waiting in the submission and completion rings — work
+    /// that has not yet entered the fabric or reached its callback.
     pub fn ring_occupancy(&self) -> usize {
-        self.subq.as_ref().map_or(0, RingSet::occupancy) + self.compq.as_ref().map_or(0, Ring::len)
+        self.subq.occupancy() + self.compq.len()
     }
 
     /// Stuck-descriptor snapshots across both rings, for quiescence
     /// reports. `loc` names this endpoint's locality (completion-ring
     /// entries are local, so they report it as their peer).
     pub fn ring_snapshots(&self, loc: LocalityId, now: Time) -> Vec<DescSnapshot> {
-        let mut out = self
-            .subq
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.snapshots(now));
-        if let Some(c) = &self.compq {
-            out.extend(c.snapshots(loc, now));
-        }
+        let mut out = self.subq.snapshots(now);
+        out.extend(self.compq.snapshots(loc, now));
         out
     }
 
     /// Pooled doorbell/occupancy/coalesce counters across both rings.
     pub fn ring_stats(&self) -> RingStats {
-        let mut total = self
-            .subq
-            .as_ref()
-            .map_or_else(RingStats::default, RingSet::stats);
-        if let Some(c) = &self.compq {
-            let cs = c.stats();
-            total.doorbells += cs.doorbells;
-            total.descs += cs.descs;
-            total.coalesced += cs.coalesced;
-            total.max_occupancy = total.max_occupancy.max(cs.max_occupancy);
-        }
+        let mut total = self.subq.stats();
+        total.absorb(&self.compq.stats());
         total
     }
 
@@ -266,9 +252,7 @@ impl PhotonEndpoint {
     /// flush threshold in force right now, which an adaptive controller
     /// may have walked away from the configured `doorbell_batch`.
     pub fn sub_ring_eff_batches(&self) -> Vec<(LocalityId, usize)> {
-        self.subq
-            .as_ref()
-            .map_or_else(Vec::new, netsim::RingSet::eff_batches)
+        self.subq.eff_batches()
     }
 
     /// Remaining eager credits toward `peer`.
@@ -352,9 +336,8 @@ fn size_class_for(len: u32) -> u8 {
 
 // ------------------------------------------------------------------ rings
 
-/// Post one PWC op into the submission ring toward `dst`, flushing or
-/// arming the doorbell timer as the ring directs. Only called when
-/// [`PhotonConfig::ring`] is set.
+/// Post one PWC op into the submission ring toward `dst`: issue it now,
+/// arm the doorbell timer, or leave it buffered, as the ring directs.
 fn ring_submit<S: PhotonWorld>(
     eng: &mut Engine<S>,
     src: LocalityId,
@@ -364,54 +347,40 @@ fn ring_submit<S: PhotonWorld>(
     kind: &'static str,
 ) {
     let now = eng.now();
-    let rings = eng
-        .state
-        .endpoint(src)
-        .subq
-        .as_mut()
-        .expect("ring_submit with rings disabled");
-    let outcome = rings.push(
-        dst,
-        Desc {
-            item,
-            bytes,
-            kind,
-            enqueued: now,
-        },
-    );
-    match outcome {
-        PushOutcome::Flush => ring_doorbell(eng, src, dst),
-        PushOutcome::Armed(epoch) => {
+    let rings = &mut eng.state.endpoint(src).subq;
+    let desc = Desc {
+        item,
+        bytes,
+        kind,
+        enqueued: now,
+    };
+    match rings.post(dst, desc) {
+        Post::Issue(batch) => ring_doorbell(eng, src, dst, batch),
+        Post::Armed(epoch) => {
             // The adaptive controller scales the timer with its effective
             // batch (a small batch should also flush sooner); static rings
             // get the configured delay unchanged.
             let delay = rings.effective_delay(dst);
             eng.schedule(delay, move |eng| {
-                let due = eng
-                    .state
-                    .endpoint(src)
-                    .subq
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(dst, epoch));
-                if due {
-                    ring_doorbell(eng, src, dst);
+                let rings = &mut eng.state.endpoint(src).subq;
+                if rings.timer_due(dst, epoch) {
+                    let batch = rings.drain(dst);
+                    ring_doorbell(eng, src, dst, batch);
                 }
             });
         }
-        PushOutcome::Buffered => {}
+        Post::Buffered => {}
     }
 }
 
-/// Ring the submission doorbell toward `dst`: drain the ring and inject
-/// every descriptor, in post order, under this one event.
-fn ring_doorbell<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, dst: LocalityId) {
-    let batch = match eng.state.endpoint(src).subq.as_mut() {
-        Some(rings) => rings.drain(dst),
-        None => return,
-    };
-    if batch.is_empty() {
-        return;
-    }
+/// Ring the submission doorbell toward `dst`: inject every descriptor of
+/// `batch`, in post order, under this one event.
+fn ring_doorbell<S: PhotonWorld>(
+    eng: &mut Engine<S>,
+    src: LocalityId,
+    dst: LocalityId,
+    batch: Batch<RingOp>,
+) {
     let now = eng.now();
     eng.state.cluster().tracer.record(
         now,
@@ -421,78 +390,82 @@ fn ring_doorbell<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, dst: Loca
             descs: batch.len() as u32,
         },
     );
-    let amos = batch
-        .iter()
-        .filter(|d| matches!(d.item, RingOp::Amo(_)))
-        .count() as u64;
-    if amos >= 2 {
-        eng.state.endpoint(src).stats.amo_batched += amos;
-        netsim::telemetry::record_amo_batched(amos);
-    }
-    for desc in batch {
-        match desc.item {
-            RingOp::Put(req) => rdma_put(eng, src, req),
-            RingOp::Get(req) => rdma_get(eng, src, req),
-            RingOp::Amo(req) => rdma_amo(eng, src, req),
+    // The lone pass-through (every op at the default batch of one) skips
+    // the batch iterator and the AMO-sharing count.
+    match batch {
+        Batch::One(desc) => inject(eng, src, desc.item),
+        Batch::Many(descs) => {
+            let amos = descs
+                .iter()
+                .filter(|d| matches!(d.item, RingOp::Amo(_)))
+                .count() as u64;
+            if amos >= 2 {
+                eng.state.endpoint(src).stats.amo_batched += amos;
+                netsim::telemetry::record_amo_batched(amos);
+            }
+            for desc in descs {
+                inject(eng, src, desc.item);
+            }
         }
     }
 }
 
-/// Buffer one NIC completion in the coalescing ring, flushing or arming
-/// the moderation timer as the ring directs. Only called when
-/// [`PhotonConfig::ring`] is set.
+fn inject<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, op: RingOp) {
+    match op {
+        RingOp::Put(req) => rdma_put(eng, src, req),
+        RingOp::Get(req) => rdma_get(eng, src, req),
+        RingOp::Amo(req) => rdma_amo(eng, src, req),
+    }
+}
+
+/// Buffer one NIC completion in the coalescing ring: deliver it now, arm
+/// the moderation timer, or leave it buffered, as the ring directs.
 fn ring_coalesce_completion<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId, ev: CompEvent) {
     let now = eng.now();
-    let ring = eng
-        .state
-        .endpoint(at)
-        .compq
-        .as_mut()
-        .expect("completion coalescing with rings disabled");
-    let outcome = ring.push(Desc {
+    let ep = eng.state.endpoint(at);
+    let desc = Desc {
         item: ev,
         bytes: 0,
         kind: "completion",
         enqueued: now,
-    });
-    match outcome {
-        PushOutcome::Flush => ring_deliver_completions(eng, at),
-        PushOutcome::Armed(epoch) => {
-            let moderation = eng
-                .state
-                .endpoint(at)
-                .cfg
-                .ring
-                .expect("ring cfg")
-                .moderation;
+    };
+    match ep.compq.post(desc) {
+        Post::Issue(batch) => ring_deliver_completions(eng, at, batch),
+        Post::Armed(epoch) => {
+            let moderation = ep.cfg.ring.moderation;
             eng.schedule(moderation, move |eng| {
-                let due = eng
-                    .state
-                    .endpoint(at)
-                    .compq
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(epoch));
-                if due {
-                    ring_deliver_completions(eng, at);
+                let ring = &mut eng.state.endpoint(at).compq;
+                if ring.timer_due(epoch) {
+                    let batch = ring.drain();
+                    ring_deliver_completions(eng, at, batch);
                 }
             });
         }
-        PushOutcome::Buffered => {}
+        Post::Buffered => {}
     }
 }
 
-/// The coalesced interrupt: drain the completion ring and deliver every
-/// buffered completion through the normal endpoint-table path.
-fn ring_deliver_completions<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId) {
-    let batch = match eng.state.endpoint(at).compq.as_mut() {
-        Some(ring) => ring.drain(),
-        None => return,
-    };
-    for desc in batch {
-        match desc.item {
-            CompEvent::Done { op } => deliver_done(eng, at, op),
-            CompEvent::AmoDone { op, result } => deliver_amo_done(eng, at, op, result),
+/// The coalesced interrupt: deliver every completion of `batch` through
+/// the normal endpoint-table path.
+fn ring_deliver_completions<S: PhotonWorld>(
+    eng: &mut Engine<S>,
+    at: LocalityId,
+    batch: Batch<CompEvent>,
+) {
+    match batch {
+        Batch::One(desc) => deliver(eng, at, desc.item),
+        Batch::Many(descs) => {
+            for desc in descs {
+                deliver(eng, at, desc.item);
+            }
         }
+    }
+}
+
+fn deliver<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId, ev: CompEvent) {
+    match ev {
+        CompEvent::Done { op } => deliver_done(eng, at, op),
+        CompEvent::AmoDone { op, result } => deliver_amo_done(eng, at, op, result),
     }
 }
 
@@ -525,7 +498,6 @@ pub fn pwc_put<S: PhotonWorld>(
         None => Time::ZERO,
     };
     let ttl = eng.state.cluster_ref().config.forward_ttl;
-    let ring_enabled = cfg.ring.is_some();
     // The wire token *is* the endpoint-table handle: the completion or
     // NACK echoes it back, and a stale echo fails the generation check.
     let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
@@ -540,11 +512,7 @@ pub fn pwc_put<S: PhotonWorld>(
             ttl,
             class: FaultClass::Request,
         };
-        if ring_enabled {
-            ring_submit(eng, src, dst, RingOp::Put(req), bytes, "put");
-        } else {
-            rdma_put(eng, src, req);
-        }
+        ring_submit(eng, src, dst, RingOp::Put(req), bytes, "put");
     });
     op
 }
@@ -572,7 +540,6 @@ pub fn pwc_get<S: PhotonWorld>(
         None => Time::ZERO,
     };
     let ttl = eng.state.cluster_ref().config.forward_ttl;
-    let ring_enabled = cfg.ring.is_some();
     let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
     eng.schedule(reg_delay, move |eng| {
         let req = GetReq {
@@ -584,11 +551,7 @@ pub fn pwc_get<S: PhotonWorld>(
             ttl,
             class: FaultClass::Request,
         };
-        if ring_enabled {
-            ring_submit(eng, src, dst, RingOp::Get(req), len, "get");
-        } else {
-            rdma_get(eng, src, req);
-        }
+        ring_submit(eng, src, dst, RingOp::Get(req), len, "get");
     });
     op
 }
@@ -614,7 +577,6 @@ pub fn pwc_amo<S: PhotonWorld>(
 ) -> OpId {
     let ep = eng.state.endpoint(src);
     ep.stats.pwc_amos += 1;
-    let ring_enabled = ep.cfg.ring.is_some();
     let ttl = eng.state.cluster_ref().config.forward_ttl;
     let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
     let wire = 8 * amo.wire_words() as u32;
@@ -628,11 +590,7 @@ pub fn pwc_amo<S: PhotonWorld>(
         ttl,
         class: FaultClass::Request,
     };
-    if ring_enabled {
-        ring_submit(eng, src, dst, RingOp::Amo(req), wire, "amo");
-    } else {
-        rdma_amo(eng, src, req);
-    }
+    ring_submit(eng, src, dst, RingOp::Amo(req), wire, "amo");
     op
 }
 
@@ -890,18 +848,10 @@ pub fn handle_completion<S: PhotonWorld>(
 ) {
     match packet {
         Packet::PutDone { op } | Packet::GetDone { op } => {
-            if eng.state.endpoint(at).compq.is_some() {
-                ring_coalesce_completion(eng, at, CompEvent::Done { op });
-            } else {
-                deliver_done(eng, at, op);
-            }
+            ring_coalesce_completion(eng, at, CompEvent::Done { op });
         }
         Packet::AmoDone { op, result } => {
-            if eng.state.endpoint(at).compq.is_some() {
-                ring_coalesce_completion(eng, at, CompEvent::AmoDone { op, result });
-            } else {
-                deliver_amo_done(eng, at, op, result);
-            }
+            ring_coalesce_completion(eng, at, CompEvent::AmoDone { op, result });
         }
         Packet::RemoteNote { tag, len } => {
             if tag & RDV_NOTE_BIT != 0 {
@@ -1094,7 +1044,7 @@ mod tests {
 
     fn ring_world(n: usize, ring: netsim::RingConfig) -> Engine<World> {
         let pcfg = PhotonConfig {
-            ring: Some(ring),
+            ring,
             ..PhotonConfig::default()
         };
         Engine::new(World::new(n, pcfg), 5)
@@ -1620,46 +1570,6 @@ mod tests {
         assert_eq!(olds, vec![7, 8, 9], "FIFO ring order preserves AMO order");
         assert_eq!(eng.state.eps[0].stats.amo_batched, 3);
         assert_eq!(eng.state.eps[0].outstanding_ops(), 0);
-    }
-
-    #[test]
-    fn ring_disabled_matches_legacy_issue_path() {
-        // The same workload with and without a never-batching ring: the
-        // ring adds scheduling hops but must not change outcomes.
-        let outcome = |ring: Option<netsim::RingConfig>| {
-            let pcfg = PhotonConfig {
-                ring,
-                ..PhotonConfig::default()
-            };
-            let mut eng = Engine::new(World::new(2, pcfg), 5);
-            let base = install_block(&mut eng, 1, 77);
-            for i in 0..5u64 {
-                pwc_put(
-                    &mut eng,
-                    0,
-                    1,
-                    RdmaTarget::Virt {
-                        block: 77,
-                        offset: i * 8,
-                    },
-                    vec![i as u8; 8],
-                    OpId::from_raw(i),
-                    None,
-                    None,
-                );
-            }
-            eng.run();
-            let mem: Vec<u8> = eng.state.cluster.mem(1).read(base, 40).unwrap().to_vec();
-            let dones = events_of(&eng, 0).len();
-            (mem, dones)
-        };
-        let plain = outcome(None);
-        let ringed = outcome(Some(netsim::RingConfig {
-            doorbell_batch: 1,
-            ..netsim::RingConfig::default()
-        }));
-        assert_eq!(plain.0, ringed.0);
-        assert_eq!(plain.1, ringed.1);
     }
 }
 

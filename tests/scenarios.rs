@@ -11,7 +11,9 @@ use std::rc::Rc;
 fn rtcfg(transport: Transport, coalesce: bool) -> RtConfig {
     RtConfig {
         transport,
-        ring: coalesce.then(RingConfig::default),
+        ring: coalesce
+            .then(RingConfig::default)
+            .unwrap_or_else(RingConfig::unbatched),
         ..RtConfig::default()
     }
 }
