@@ -324,6 +324,64 @@ pub struct GasStats {
     pub stale_xlate_dropped: u64,
 }
 
+impl GasStats {
+    /// Add `other`'s counters into `self` (cluster-wide totals). The
+    /// exhaustive destructuring makes a new field a compile error here
+    /// until it is summed.
+    pub fn absorb(&mut self, other: &GasStats) {
+        let GasStats {
+            puts,
+            gets,
+            amos,
+            local_ops,
+            remote_ops,
+            retries,
+            dir_queries,
+            sw_puts_handled,
+            sw_gets_handled,
+            sw_amos_handled,
+            amo_replays,
+            sw_fallbacks,
+            migrations_started,
+            migrations_done,
+            stale_completions,
+            protocol_violations,
+            deadline_exceeded,
+            deadline_retries,
+            ops_failed,
+            shm_ops,
+            shm_bytes,
+            blocks_rehomed,
+            blocks_recovered,
+            stale_xlate_dropped,
+        } = *other;
+        self.puts += puts;
+        self.gets += gets;
+        self.amos += amos;
+        self.local_ops += local_ops;
+        self.remote_ops += remote_ops;
+        self.retries += retries;
+        self.dir_queries += dir_queries;
+        self.sw_puts_handled += sw_puts_handled;
+        self.sw_gets_handled += sw_gets_handled;
+        self.sw_amos_handled += sw_amos_handled;
+        self.amo_replays += amo_replays;
+        self.sw_fallbacks += sw_fallbacks;
+        self.migrations_started += migrations_started;
+        self.migrations_done += migrations_done;
+        self.stale_completions += stale_completions;
+        self.protocol_violations += protocol_violations;
+        self.deadline_exceeded += deadline_exceeded;
+        self.deadline_retries += deadline_retries;
+        self.ops_failed += ops_failed;
+        self.shm_ops += shm_ops;
+        self.shm_bytes += shm_bytes;
+        self.blocks_rehomed += blocks_rehomed;
+        self.blocks_recovered += blocks_recovered;
+        self.stale_xlate_dropped += stale_xlate_dropped;
+    }
+}
+
 /// Where an in-flight op last was in its lifecycle (diagnostics: stuck-op
 /// reports, `repro ops`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -611,4 +669,54 @@ pub trait GasWorld: PhotonWorld {
     /// reclaimed it) or its retry budget ran out. The typed error reaches
     /// the initiator here instead of a panic or a silent hang.
     fn gas_op_failed(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, gva: Gva, err: OpError);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::GasStats;
+
+    /// Stats whose `i`-th field holds `base + step * i`: every field
+    /// distinct, so a counter summed into the wrong field shows.
+    fn distinct(base: u64, step: u64) -> GasStats {
+        let mut v = base;
+        let mut next = || {
+            v += step;
+            v - step
+        };
+        GasStats {
+            puts: next(),
+            gets: next(),
+            amos: next(),
+            local_ops: next(),
+            remote_ops: next(),
+            retries: next(),
+            dir_queries: next(),
+            sw_puts_handled: next(),
+            sw_gets_handled: next(),
+            sw_amos_handled: next(),
+            amo_replays: next(),
+            sw_fallbacks: next(),
+            migrations_started: next(),
+            migrations_done: next(),
+            stale_completions: next(),
+            protocol_violations: next(),
+            deadline_exceeded: next(),
+            deadline_retries: next(),
+            ops_failed: next(),
+            shm_ops: next(),
+            shm_bytes: next(),
+            blocks_rehomed: next(),
+            blocks_recovered: next(),
+            stale_xlate_dropped: next(),
+        }
+    }
+
+    #[test]
+    fn absorb_sums_every_field_into_its_own() {
+        let mut total = GasStats::default();
+        total.absorb(&distinct(1, 1));
+        assert_eq!(total, distinct(1, 1));
+        total.absorb(&distinct(100, 1));
+        assert_eq!(total, distinct(101, 2));
+    }
 }

@@ -1,15 +1,12 @@
-//! A `Send` world for the full photon + GAS stack, runnable on both the
+//! The world for the full photon + GAS stack, runnable on both the
 //! sequential [`Engine`] and the sharded
 //! [`ShardedEngine`](netsim::ShardedEngine).
 //!
-//! The integration tests' traditional `World` keeps one shared event log,
-//! which is fine sequentially but unusable across shard lanes. `SimWorld`
-//! is its lane-safe twin: identical construction defaults, identical
-//! protocol dispatch (so any workload replayed on it schedules the exact
-//! same `(time, seq)` event sequence and reproduces the same golden trace
-//! hashes), but every driver-visible observation — completion events,
-//! audit expectations, mismatch counters — lives in a *per-locality*
-//! record that only the owning lane touches.
+//! Every driver-visible observation — completion events, audit
+//! expectations, mismatch counters — lives in a *per-locality* record that
+//! only the owning lane touches, so one world serves both engines and a
+//! workload replayed on either schedules the same `(time, seq)` event
+//! sequence and reproduces the same golden trace hashes.
 //!
 //! It also carries the self-pumping GUPS load generator used by the
 //! parallel-scaling benchmark: each locality holds a private RNG and an
@@ -156,16 +153,16 @@ pub struct SimWorld {
 }
 
 impl SimWorld {
-    /// Build a world with the integration suite's construction defaults:
-    /// 256 MiB arenas, default photon/GAS configs, two CPU workers per
-    /// locality.
+    /// Build a world with the default construction: 256 MiB arenas,
+    /// default photon/GAS configs, two CPU workers per locality.
     pub fn new(n: usize, mode: GasMode, net: NetConfig) -> SimWorld {
         SimWorld::with_photon(n, mode, net, PhotonConfig::default())
     }
 
     /// [`SimWorld::new`] with an explicit photon configuration — how the
-    /// ring benchmarks and shadow tests turn the descriptor-ring issue
-    /// path on without disturbing the default-config schedules.
+    /// ring benchmarks and shadow tests batch descriptors into shared
+    /// doorbells (the default config's batch-of-one rings pass every
+    /// descriptor straight through).
     pub fn with_photon(n: usize, mode: GasMode, net: NetConfig, pcfg: PhotonConfig) -> SimWorld {
         SimWorld {
             data: SharedState::new(SimData {
@@ -293,31 +290,7 @@ impl SimWorld {
     pub fn total_gas_stats(&self) -> GasStats {
         let mut total = GasStats::default();
         for g in &self.data.gas {
-            let s = g.stats;
-            total.puts += s.puts;
-            total.gets += s.gets;
-            total.amos += s.amos;
-            total.local_ops += s.local_ops;
-            total.remote_ops += s.remote_ops;
-            total.retries += s.retries;
-            total.dir_queries += s.dir_queries;
-            total.sw_puts_handled += s.sw_puts_handled;
-            total.sw_gets_handled += s.sw_gets_handled;
-            total.sw_amos_handled += s.sw_amos_handled;
-            total.amo_replays += s.amo_replays;
-            total.sw_fallbacks += s.sw_fallbacks;
-            total.migrations_started += s.migrations_started;
-            total.migrations_done += s.migrations_done;
-            total.stale_completions += s.stale_completions;
-            total.protocol_violations += s.protocol_violations;
-            total.deadline_exceeded += s.deadline_exceeded;
-            total.deadline_retries += s.deadline_retries;
-            total.ops_failed += s.ops_failed;
-            total.shm_ops += s.shm_ops;
-            total.shm_bytes += s.shm_bytes;
-            total.blocks_rehomed += s.blocks_rehomed;
-            total.blocks_recovered += s.blocks_recovered;
-            total.stale_xlate_dropped += s.stale_xlate_dropped;
+            total.absorb(&g.stats);
         }
         total
     }

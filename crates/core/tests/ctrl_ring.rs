@@ -7,26 +7,25 @@ mod common;
 
 use agas::migrate::{free_block, migrate_block};
 use agas::ops::{memget, memput};
-use agas::{alloc_array, Distribution, GasConfig, GasLocal, GasMode};
-use common::{assert_consistent, Ev, World};
+use agas::{alloc_array, Distribution, GasConfig, GasLocal, GasMode, SimEv, SimWorld};
+use common::{assert_consistent, events};
 use netsim::{AdaptiveRing, Engine, NetConfig, OpId, RingConfig, Time};
 
 /// Build an engine whose GAS layer posts control traffic through rings.
-fn ring_engine(n: usize, mode: GasMode, ring: RingConfig) -> Engine<World> {
-    let mut w = World::new(n, mode, NetConfig::ideal());
+fn ring_engine(n: usize, mode: GasMode, ring: RingConfig) -> Engine<SimWorld> {
+    let mut w = SimWorld::new(n, mode, NetConfig::ideal());
     let cfg = GasConfig {
         ctrl_ring: ring,
         ..GasConfig::default()
     };
-    w.gas = (0..n).map(|_| GasLocal::new(cfg)).collect();
+    w.data.gas = (0..n).map(|_| GasLocal::new(cfg)).collect();
     Engine::new(w, 42)
 }
 
-fn mig_done(eng: &Engine<World>, ctx: u64) -> bool {
-    eng.state
-        .events
+fn mig_done(eng: &Engine<SimWorld>, ctx: u64) -> bool {
+    events(eng)
         .iter()
-        .any(|(_, _, e)| matches!(e, Ev::MigDone(c, _) if *c == ctx))
+        .any(|(_, _, e)| matches!(e, SimEv::MigDone(c, _) if *c == ctx))
 }
 
 #[test]
@@ -61,16 +60,15 @@ fn ctrl_ring_batches_migration_traffic_and_converges() {
         for i in 0..6 {
             assert!(mig_done(&eng, i), "{mode:?}: migration {i} never finished");
         }
-        let total = eng.state.cluster.total_counters();
+        let total = eng.state.data.cluster.total_counters();
         assert_eq!(total.migrations_out, 6, "{mode:?}");
         // Data survived the ring-batched protocol.
         memget(&mut eng, 1, arr.block(2), 64, OpId::from_raw(600));
         eng.run();
         assert!(
-            eng.state
-                .events
+            events(&eng)
                 .iter()
-                .any(|(_, _, e)| matches!(e, Ev::GetDone(600, d) if d == &vec![0x6E; 64])),
+                .any(|(_, _, e)| matches!(e, SimEv::GetDone(600, d) if d == &vec![0x6E; 64])),
             "{mode:?}"
         );
         assert_consistent(&eng, &arr.blocks);
@@ -78,7 +76,7 @@ fn ctrl_ring_batches_migration_traffic_and_converges() {
         // engine's own rings, some sharing a doorbell. The count is this
         // run's alone: other engines in the process cannot move it.
         let mut rings = netsim::RingStats::default();
-        for g in &eng.state.gas {
+        for g in &eng.state.data.gas {
             rings.absorb(&g.ctrl_ring_stats());
         }
         assert_eq!(rings.descs, 30, "{mode:?}: {rings:?}");
@@ -100,7 +98,9 @@ fn ctrl_ring_timer_flushes_a_lone_request() {
     migrate_block(&mut eng, 0, arr.block(1), 2, OpId::from_raw(7));
     eng.run();
     assert!(mig_done(&eng, 7), "timer flush never fired");
-    assert!(eng.state.gas[2].btt.is_resident(arr.block(1).block_key()));
+    assert!(eng.state.data.gas[2]
+        .btt
+        .is_resident(arr.block(1).block_key()));
     assert_consistent(&eng, &arr.blocks);
 }
 
@@ -119,10 +119,9 @@ fn ctrl_ring_free_protocol_converges() {
     eng.run();
     for i in 0..4u64 {
         assert!(
-            eng.state
-                .events
+            events(&eng)
                 .iter()
-                .any(|(_, _, e)| matches!(e, Ev::FreeDone(c, _) if *c == 40 + i)),
+                .any(|(_, _, e)| matches!(e, SimEv::FreeDone(c, _) if *c == 40 + i)),
             "free {i} never completed"
         );
     }

@@ -6,46 +6,23 @@
 
 mod common;
 
-use agas::migrate::migrate_block;
-use agas::ops::{memget, memput};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{Ev, World};
-use netsim::{Engine, NetConfig, OpId, Time};
+use agas::ops::memput;
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::{deadline_fault, events, jittery, Harness, Setup};
+use netsim::{Engine, OpId, Time};
 
-fn jittery() -> NetConfig {
-    NetConfig {
-        jitter_ns: 400,
-        ..NetConfig::ideal()
-    }
-}
-
-/// Build, run, and summarize one instance of the scenario: remote puts and
-/// gets race migrations on a jittery fabric, and at `drop_at` every wire op
-/// still in flight at locality 0 is forgotten.
-fn run_scenario(seed: u64) -> (Vec<(Time, u32, Ev)>, u64) {
-    let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, jittery()), seed);
-    for g in &mut eng.state.gas {
-        g.cfg.op_deadline = Some(Time::from_us(40));
-        g.cfg.sweep_interval = Time::from_us(5);
-    }
-    let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
-    for i in 0..8u64 {
-        let gva = arr.block(i % 4).with_offset((i / 4) * 64);
-        memput(&mut eng, 0, gva, vec![i as u8 + 1; 64], OpId::from_raw(i));
-        memget(&mut eng, 0, gva, 64, OpId::from_raw(100 + i));
-    }
-    // Migrations race the in-flight ops.
-    migrate_block(&mut eng, 1, arr.block(1), 3, OpId::from_raw(900));
-    migrate_block(&mut eng, 2, arr.block(2), 0, OpId::from_raw(901));
-    // Lose whatever locality 0 still has on the wire shortly after issue.
-    eng.schedule(Time::from_ns(150), |eng| {
-        eng.state.eps[0].drop_pending_ops();
-    });
+/// Run the golden `deadline_fault` scenario (remote puts and gets race
+/// migrations on a jittery fabric, and shortly after issue locality 0
+/// forgets every wire op it still has in flight) and summarize it.
+fn run_scenario(seed: u64) -> (Vec<(Time, u32, SimEv)>, u64) {
+    let Harness::Seq(mut eng) = deadline_fault(seed, &Setup::seq()) else {
+        unreachable!("Setup::seq runs the sequential engine");
+    };
     eng.run();
-    let events = eng.state.events.clone();
+    let events = events(&eng);
     let failures = events
         .iter()
-        .filter(|(_, _, e)| matches!(e, Ev::OpFailed(_, _)))
+        .filter(|(_, _, e)| matches!(e, SimEv::OpFailed(_, _)))
         .count() as u64;
     (events, failures)
 }
@@ -60,7 +37,7 @@ fn dropped_completion_fails_deadline_instead_of_hanging() {
         "dropping in-flight wire ops must surface DeadlineExceeded failures"
     );
     for (_, _, e) in &events {
-        if let Ev::OpFailed(_, msg) = e {
+        if let SimEv::OpFailed(_, msg) = e {
             assert!(
                 msg.contains("deadline"),
                 "expected a deadline failure, got: {msg}"
@@ -70,7 +47,7 @@ fn dropped_completion_fails_deadline_instead_of_hanging() {
     // Ops that were not dropped still complete.
     let completed = events
         .iter()
-        .filter(|(_, _, e)| matches!(e, Ev::PutDone(_) | Ev::GetDone(_, _)))
+        .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_) | SimEv::GetDone(_, _)))
         .count();
     assert!(
         completed + failures as usize >= 16,
@@ -93,15 +70,13 @@ fn dropped_completion_recovery_is_deterministic() {
 fn no_deadline_configured_means_no_sweep_events() {
     // With op_deadline = None (the default) the sweep must never arm: the
     // schedule is identical to the seed behaviour, and nothing fails.
-    let mut eng = Engine::new(World::new(2, GasMode::AgasNetwork, jittery()), 5);
+    let mut eng = Engine::new(SimWorld::new(2, GasMode::AgasNetwork, jittery()), 5);
     let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
     memput(&mut eng, 0, arr.block(1), vec![3; 32], OpId::from_raw(1));
     eng.run();
-    assert!(eng
-        .state
-        .events
+    assert!(events(&eng)
         .iter()
-        .all(|(_, _, e)| !matches!(e, Ev::OpFailed(_, _))));
-    assert_eq!(eng.state.gas[0].outstanding_ops(), 0);
-    assert!(!eng.state.gas[0].sweep_armed());
+        .all(|(_, _, e)| !matches!(e, SimEv::OpFailed(_, _))));
+    assert_eq!(eng.state.data.gas[0].outstanding_ops(), 0);
+    assert!(!eng.state.data.gas[0].sweep_armed());
 }

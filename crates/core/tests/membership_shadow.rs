@@ -23,38 +23,30 @@
 mod common;
 
 use agas::ops::{memamo, memget, memput};
-use agas::{alloc_array, membership, Distribution, GasMode, Gva, MemberState};
-use common::{Ev, World};
-use netsim::{AmoOp, Engine, NetConfig, OpId};
+use agas::{alloc_array, membership, Distribution, GasMode, Gva, MemberState, SimEv, SimWorld};
+use common::{events, jittery};
+use netsim::{AmoOp, Engine, OpId};
 use proptest::prelude::*;
 
-fn jittery() -> NetConfig {
-    NetConfig {
-        jitter_ns: 400,
-        ..NetConfig::ideal()
-    }
-}
-
-fn get_data(eng: &Engine<World>, ctx: u64) -> Option<Vec<u8>> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::GetDone(c, d) if *c == ctx => Some(d.clone()),
+fn get_data(eng: &Engine<SimWorld>, ctx: u64) -> Option<Vec<u8>> {
+    events(eng).iter().find_map(|(_, _, e)| match e {
+        SimEv::GetDone(c, d) if *c == ctx => Some(d.clone()),
         _ => None,
     })
 }
 
-fn amo_old(eng: &Engine<World>, ctx: u64) -> Option<u64> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::AmoDone(c, r) if *c == ctx => Some(r.old),
+fn amo_old(eng: &Engine<SimWorld>, ctx: u64) -> Option<u64> {
+    events(eng).iter().find_map(|(_, _, e)| match e {
+        SimEv::AmoDone(c, r) if *c == ctx => Some(r.old),
         _ => None,
     })
 }
 
-fn completions(eng: &Engine<World>, ctx: u64) -> usize {
-    eng.state
-        .events
+fn completions(eng: &Engine<SimWorld>, ctx: u64) -> usize {
+    events(eng)
         .iter()
         .filter(|(_, _, e)| match e {
-            Ev::PutDone(c) | Ev::GetDone(c, _) | Ev::AmoDone(c, _) => *c == ctx,
+            SimEv::PutDone(c) | SimEv::GetDone(c, _) | SimEv::AmoDone(c, _) => *c == ctx,
             _ => false,
         })
         .count()
@@ -64,7 +56,7 @@ fn completions(eng: &Engine<World>, ctx: u64) -> usize {
 fn drain_ladder(mode: GasMode, seed: u64, drainee: u32, nblocks: u64, adds: u64) {
     let n = 4u32;
     let survivor = (drainee + 1) % n;
-    let mut eng = Engine::new(World::new(n as usize, mode, jittery()), seed);
+    let mut eng = Engine::new(SimWorld::new(n as usize, mode, jittery()), seed);
     let arr = alloc_array(&mut eng, nblocks, 12, Distribution::Cyclic);
     let mut issued: Vec<u64> = Vec::new();
 
@@ -128,7 +120,7 @@ fn drain_ladder(mode: GasMode, seed: u64, drainee: u32, nblocks: u64, adds: u64)
     // 1: the departed member owns nothing, in every view.
     for l in 0..n {
         assert_eq!(
-            eng.state.gas[l as usize].member.state_of(drainee),
+            eng.state.data.gas[l as usize].member.state_of(drainee),
             MemberState::Left,
             "{:?}: locality {} still thinks {} is a member",
             mode,
@@ -137,23 +129,23 @@ fn drain_ladder(mode: GasMode, seed: u64, drainee: u32, nblocks: u64, adds: u64)
         );
     }
     assert!(
-        eng.state.gas[drainee as usize].dir.is_empty(),
+        eng.state.data.gas[drainee as usize].dir.is_empty(),
         "{:?}: the drainee kept directory records past Left",
         mode
     );
     if mode.supports_migration() {
         assert!(
-            eng.state.gas[drainee as usize].btt.is_empty(),
+            eng.state.data.gas[drainee as usize].btt.is_empty(),
             "{:?}: the drainee still holds {} resident block(s)",
             mode,
-            eng.state.gas[drainee as usize].btt.len()
+            eng.state.data.gas[drainee as usize].btt.len()
         );
     }
     for l in 0..n {
         for b in 0..nblocks {
             let key = arr.block(b).block_key();
             let home = Gva(key).home();
-            let serving = eng.state.gas[l as usize].member.resolve(key, home);
+            let serving = eng.state.data.gas[l as usize].member.resolve(key, home);
             assert_ne!(
                 serving, drainee,
                 "{:?}: locality {} still resolves block {} to the drainee",
@@ -223,11 +215,9 @@ fn drain_ladder(mode: GasMode, seed: u64, drainee: u32, nblocks: u64, adds: u64)
             completions(&eng, ctx)
         );
     }
-    let failures = eng
-        .state
-        .events
+    let failures = events(&eng)
         .iter()
-        .filter(|(_, _, e)| matches!(e, Ev::OpFailed(_, _)))
+        .filter(|(_, _, e)| matches!(e, SimEv::OpFailed(_, _)))
         .count();
     assert_eq!(failures, 0, "{:?}: {} op(s) failed", mode, failures);
 }

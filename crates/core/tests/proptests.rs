@@ -6,8 +6,8 @@ mod common;
 
 use agas::migrate::migrate_block;
 use agas::ops::{memget, memput};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{assert_consistent, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::{assert_consistent, events};
 use netsim::OpId;
 use netsim::{Engine, NetConfig};
 use proptest::prelude::*;
@@ -43,9 +43,9 @@ fn op_strategy(nloc: u32, nblocks: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<World>, Vec<agas::Gva>) {
+fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<SimWorld>, Vec<agas::Gva>) {
     let nloc = 4;
-    let mut eng = Engine::new(World::new(nloc, mode, NetConfig::ideal()), seed);
+    let mut eng = Engine::new(SimWorld::new(nloc, mode, NetConfig::ideal()), seed);
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
     for (ctx, op) in ops.iter().enumerate() {
         let ctx = ctx as u64;
@@ -92,22 +92,16 @@ proptest! {
             } else {
                 0
             };
-            let puts_done = eng
-                .state
-                .events
-                .iter()
-                .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+            let puts_done = events(&eng).iter()
+                .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
                 .count();
-            let migs_done = eng
-                .state
-                .events
-                .iter()
-                .filter(|(_, _, e)| matches!(e, Ev::MigDone(..)))
+            let migs_done = events(&eng).iter()
+                .filter(|(_, _, e)| matches!(e, SimEv::MigDone(..)))
                 .count();
             prop_assert_eq!(puts_done, puts_submitted, "{:?}: lost puts", mode);
             prop_assert_eq!(migs_done, migs_submitted, "{:?}: lost migrations", mode);
             prop_assert_eq!(
-                (0..4).map(|l| eng.state.gas[l].outstanding_ops()).sum::<usize>(),
+                (0..4).map(|l| eng.state.data.gas[l].outstanding_ops()).sum::<usize>(),
                 0,
                 "{:?}: dangling pending ops", mode
             );
@@ -131,7 +125,7 @@ proptest! {
             .filter(|&(b, s, _)| seen.insert((b, s)))
             .collect();
         for mode in GasMode::ALL {
-            let mut eng = Engine::new(World::new(4, mode, NetConfig::ideal()), seed);
+            let mut eng = Engine::new(SimWorld::new(4, mode, NetConfig::ideal()), seed);
             let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
             let mut ctx = 0;
             let mut mig_iter = migs.iter();
@@ -153,8 +147,8 @@ proptest! {
             }
             eng.run();
             for (i, &(_, _, val)) in writes.iter().enumerate() {
-                let got = eng.state.events.iter().find_map(|(_, _, e)| match e {
-                    Ev::GetDone(c, d) if *c == 10_000 + i as u64 => Some(d.clone()),
+                let got = events(&eng).iter().find_map(|(_, _, e)| match e {
+                    SimEv::GetDone(c, d) if *c == 10_000 + i as u64 => Some(d.clone()),
                     _ => None,
                 });
                 prop_assert_eq!(got, Some(vec![val; 256]), "{:?}: slot {} wrong", mode, i);
@@ -174,7 +168,7 @@ proptest! {
             let (b, _) = run_schedule(mode, &ops, seed);
             prop_assert_eq!(a.trace_hash(), b.trace_hash());
             prop_assert_eq!(a.now(), b.now());
-            prop_assert_eq!(a.state.events.len(), b.state.events.len());
+            prop_assert_eq!(events(&a).len(), events(&b).len());
         }
     }
 }

@@ -1,32 +1,32 @@
 //! Ring-batched schedules, replayed under the sharded engine.
 //!
-//! The golden pins (`trace_pin.rs`, `shard_pin.rs`) run on the default
-//! batch-of-one rings, where every descriptor passes straight through —
-//! the per-op schedule. This suite covers *batched* rings: with
-//! descriptors sharing doorbells and moderation timers coalescing
-//! completions, the schedule is still a pure function of the seed, so the
-//! sequential run's
-//! `(trace_hash, now, events)` must be reproduced bit-for-bit under shard
-//! lane counts {1, 2, 4, 8}, and the chaos drop/corrupt cells must stay
-//! violation-free and lane-invariant with every op issued through rings.
+//! The golden pins (`trace_pin.rs`) run on the default batch-of-one rings,
+//! where every descriptor passes straight through — the per-op schedule.
+//! This suite covers *batched* rings, with and without the AIMD doorbell
+//! controller: with descriptors sharing doorbells and moderation timers
+//! coalescing completions, the schedule is still a pure function of the
+//! seed, so the sequential run's `(trace_hash, now, events)` must be
+//! reproduced bit-for-bit over the engine grid (shard lane counts
+//! {1, 2, 4, 8}, adaptive windows at 2 and 4 lanes), and the chaos
+//! drop/corrupt cells must stay violation-free and lane-invariant with
+//! every op issued through rings.
 //!
 //! Shared-memory domains shrink the sharded engine's lookahead window (the
 //! load/store short-circuit is cheaper than any wire hop), so the shm
 //! scenario doubles as a regression test for that window math.
 
+mod common;
+
 use agas::check::Violation;
 use agas::migrate::migrate_block;
 use agas::ops::{get_many, memamo, memget, memput, put_many};
-use agas::{alloc_array, Distribution, GasMode, GlobalArray, SimWorld};
+use agas::{GasMode, SimWorld};
+use common::{jittery, Harness, Lanes, GRID};
 use netsim::{
-    AmoOp, Engine, FaultPlan, FaultPlane, FaultRates, LocalityId, NetConfig, OpId, RingConfig,
-    ShardedEngine, ShmDomain, Time,
+    AdaptiveRing, AmoOp, FaultPlan, FaultPlane, FaultRates, NetConfig, OpId, RingConfig, ShmDomain,
+    Time,
 };
 use photon::PhotonConfig;
-
-/// Lane counts every ring-batched scenario must agree across. The
-/// sequential engine (`None`) is the reference.
-const GRID: [Option<usize>; 5] = [None, Some(1), Some(2), Some(4), Some(8)];
 
 fn ring_photon() -> PhotonConfig {
     PhotonConfig {
@@ -39,81 +39,27 @@ fn ring_photon() -> PhotonConfig {
     }
 }
 
-fn jittery() -> NetConfig {
-    NetConfig {
-        jitter_ns: 400,
-        ..NetConfig::ideal()
-    }
+/// [`ring_photon`] with the AIMD doorbell controller attached to every
+/// ring.
+fn adaptive_ring_photon() -> PhotonConfig {
+    let mut pcfg = ring_photon();
+    pcfg.ring.adaptive = Some(AdaptiveRing::default());
+    pcfg
 }
 
-enum Harness {
-    Seq(Engine<SimWorld>),
-    Shard(ShardedEngine<SimWorld>),
-}
-
-impl Harness {
-    fn new(n: usize, net: NetConfig, seed: u64, shards: Option<usize>) -> Harness {
-        let world = SimWorld::with_photon(n, GasMode::AgasNetwork, net, ring_photon());
-        match shards {
-            None => Harness::Seq(Engine::new(world, seed)),
-            Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
-        }
-    }
-
-    fn world(&mut self) -> &mut SimWorld {
-        match self {
-            Harness::Seq(e) => &mut e.state,
-            Harness::Shard(s) => s.state(),
-        }
-    }
-
-    fn issue(&mut self, loc: LocalityId, f: impl FnOnce(&mut Engine<SimWorld>) + 'static) {
-        match self {
-            Harness::Seq(e) => f(e),
-            Harness::Shard(s) => s.drive_at(loc, f),
-        }
-    }
-
-    fn alloc(&mut self, blocks: u64, class: u8) -> GlobalArray {
-        match self {
-            Harness::Seq(e) => alloc_array(e, blocks, class, Distribution::Cyclic),
-            Harness::Shard(s) => s.drive(|e| alloc_array(e, blocks, class, Distribution::Cyclic)),
-        }
-    }
-
-    fn run(&mut self) {
-        match self {
-            Harness::Seq(e) => e.run(),
-            Harness::Shard(s) => s.run(),
-        };
-    }
-
-    fn run_steps(&mut self, n: u64) {
-        match self {
-            Harness::Seq(e) => e.run_steps(n),
-            Harness::Shard(s) => s.run_steps(n),
-        };
-    }
-
-    fn finish(&mut self) -> (u64, u64, u64) {
-        self.run();
-        match self {
-            Harness::Seq(e) => (e.trace_hash(), e.now().ps(), e.events_executed()),
-            Harness::Shard(s) => (s.trace_hash(), s.now().ps(), s.events_executed()),
-        }
-    }
+fn harness(pcfg: PhotonConfig, net: NetConfig, seed: u64, lanes: Lanes) -> Harness {
+    Harness::new(4, GasMode::AgasNetwork, net, pcfg, seed, lanes)
 }
 
 /// Run `scenario` across the whole lane grid and demand every run lands on
-/// the sequential witness. Also sanity-check the rings actually engaged:
-/// the scenario must have rung at least one batched (multi-desc) doorbell.
-fn lane_invariant(name: &str, scenario: impl Fn(Option<usize>) -> (u64, u64, u64)) {
-    let reference = scenario(None);
-    for shards in GRID {
-        let got = scenario(shards);
+/// the sequential witness.
+fn lane_invariant(name: &str, scenario: impl Fn(Lanes) -> (u64, u64, u64)) {
+    let reference = scenario(Lanes::Seq);
+    for lanes in GRID {
+        let got = scenario(lanes);
         assert_eq!(
             got, reference,
-            "{name} (shards={shards:?}): ring-batched schedule diverged — \
+            "{name} ({lanes:?}): ring-batched schedule diverged — \
              observed (hash, ps, events) = ({:#018x}, {}, {})",
             got.0, got.1, got.2
         );
@@ -123,8 +69,8 @@ fn lane_invariant(name: &str, scenario: impl Fn(Option<usize>) -> (u64, u64, u64
 /// Vectored put/get bursts through the rings under jitter: every burst
 /// targets one peer, so descriptors pile into one ring and share
 /// doorbells; partial tails drain on the moderation timer.
-fn vectored_bursts(shards: Option<usize>) -> (u64, u64, u64) {
-    let mut h = Harness::new(4, jittery(), 31, shards);
+fn vectored_bursts(pcfg: PhotonConfig, lanes: Lanes) -> (u64, u64, u64) {
+    let mut h = harness(pcfg, jittery(), 31, lanes);
     let arr = h.alloc(8, 12);
     for round in 0..6u64 {
         for loc in 0..4u32 {
@@ -173,8 +119,8 @@ fn vectored_bursts(shards: Option<usize>) -> (u64, u64, u64) {
 /// Fetch-adds, compare-swaps, and a migration racing through the rings:
 /// same-responder AMOs share doorbells (the `amo_batched` path) while the
 /// home moves underneath them.
-fn amo_ring_mix(shards: Option<usize>) -> (u64, u64, u64) {
-    let mut h = Harness::new(4, jittery(), 37, shards);
+fn amo_ring_mix(lanes: Lanes) -> (u64, u64, u64) {
+    let mut h = harness(ring_photon(), jittery(), 37, lanes);
     let arr = h.alloc(4, 12);
     for i in 0..32u64 {
         let loc = (i % 4) as u32;
@@ -224,12 +170,12 @@ fn amo_ring_mix(shards: Option<usize>) -> (u64, u64, u64) {
 /// localities {0,1} and {2,3} short-circuit the NIC inside their domain
 /// (zero wire messages, load/store costs) while cross-domain ops still
 /// ride the rings. Exercises the shrunken lookahead window under lanes.
-fn shm_domain_mix(shards: Option<usize>) -> (u64, u64, u64) {
+fn shm_domain_mix(lanes: Lanes) -> (u64, u64, u64) {
     let net = NetConfig {
         shm: Some(ShmDomain::node(2)),
         ..jittery()
     };
-    let mut h = Harness::new(4, net, 43, shards);
+    let mut h = harness(ring_photon(), net, 43, lanes);
     let arr = h.alloc(8, 12);
     for i in 0..40u64 {
         let loc = (i % 4) as u32;
@@ -264,7 +210,14 @@ fn shm_domain_mix(shards: Option<usize>) -> (u64, u64, u64) {
 
 #[test]
 fn ring_shadow_vectored_bursts() {
-    lane_invariant("vectored_bursts", vectored_bursts);
+    lane_invariant("vectored_bursts", |lanes| {
+        vectored_bursts(ring_photon(), lanes)
+    });
+    // The AIMD controller retunes each ring's effective batch from its
+    // own occupancy history, so the schedule stays a function of the seed.
+    lane_invariant("vectored_bursts+aimd", |lanes| {
+        vectored_bursts(adaptive_ring_photon(), lanes)
+    });
 }
 
 #[test]
@@ -282,7 +235,7 @@ fn ring_shadow_shm_domain() {
 /// The slot-idempotent chaos workload from `shard_chaos.rs`, with every
 /// op issued through the rings. Returns the full determinism witness plus
 /// the correctness verdict inputs.
-fn chaos_cell(rates: FaultRates, seed: u64, shards: Option<usize>) -> (u64, u64, u64) {
+fn chaos_cell(rates: FaultRates, seed: u64, lanes: Lanes) -> (u64, u64, u64) {
     let plan = FaultPlan {
         seed: 61,
         rates,
@@ -299,10 +252,7 @@ fn chaos_cell(rates: FaultRates, seed: u64, shards: Option<usize>) -> (u64, u64,
         g.cfg.retry_on_deadline = true;
         g.cfg.record_history = true;
     }
-    let mut h = match shards {
-        None => Harness::Seq(Engine::new(world, seed)),
-        Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
-    };
+    let mut h = Harness::with_world(world, seed, lanes);
     let arr = h.alloc(8, 12);
     let mut puts = 0u64;
     let mut gets = 0u64;
@@ -334,12 +284,12 @@ fn chaos_cell(rates: FaultRates, seed: u64, shards: Option<usize>) -> (u64, u64,
     assert_eq!(
         acked + w.op_failures(),
         puts + gets,
-        "chaos cell (shards={shards:?}): ops silently lost"
+        "chaos cell ({lanes:?}): ops silently lost"
     );
     let violations: Vec<Violation> = w.violations(&blocks);
     assert!(
         violations.is_empty(),
-        "chaos cell (shards={shards:?}): {violations:?}"
+        "chaos cell ({lanes:?}): {violations:?}"
     );
     witness
 }
@@ -369,8 +319,8 @@ fn corrupt_rates(p: f64) -> FaultRates {
 #[test]
 fn ring_shadow_chaos_drop() {
     for seed in [5u64, 13] {
-        lane_invariant("chaos_drop/3%", |shards| {
-            chaos_cell(drop_rates(0.03), seed, shards)
+        lane_invariant("chaos_drop/3%", |lanes| {
+            chaos_cell(drop_rates(0.03), seed, lanes)
         });
     }
 }
@@ -378,8 +328,8 @@ fn ring_shadow_chaos_drop() {
 #[test]
 fn ring_shadow_chaos_corrupt() {
     for seed in [5u64, 13] {
-        lane_invariant("chaos_corrupt/3%", |shards| {
-            chaos_cell(corrupt_rates(0.03), seed, shards)
+        lane_invariant("chaos_corrupt/3%", |lanes| {
+            chaos_cell(corrupt_rates(0.03), seed, lanes)
         });
     }
 }

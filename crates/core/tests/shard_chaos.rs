@@ -15,18 +15,18 @@
 //!   bit-identical to the sequential run's.
 //!
 //! Parcel-spawning cells are out of scope: the parcel runtime's world is
-//! `Rc`-based and intentionally not [`SplitWorld`].
+//! `Rc`-based and runs on the sequential engine only.
+
+mod common;
 
 use agas::check::Violation;
 use agas::ops::{memget, memput};
-use agas::{
-    alloc_array, migrate::migrate_block, Distribution, GasMode, GasStats, GlobalArray, Gva,
-    SimWorld,
-};
+use agas::{migrate::migrate_block, GasMode, GasStats, GlobalArray, Gva, SimWorld};
+use common::{Harness, Lanes};
 use netsim::rng::mix64;
 use netsim::{
-    Counters, Engine, FaultPlan, FaultPlane, FaultRates, FaultStats, LinkFlap, LocalityId,
-    NetConfig, OpId, OutcomeCounters, Partition, ShardedEngine, Time,
+    Counters, FaultPlan, FaultPlane, FaultRates, FaultStats, LinkFlap, NetConfig, OpId,
+    OutcomeCounters, Partition, Time,
 };
 
 const LOCALITIES: usize = 4;
@@ -101,44 +101,6 @@ fn partition_plan(seed: u64) -> FaultPlan {
     }
 }
 
-enum Harness {
-    Seq(Engine<SimWorld>),
-    Shard(ShardedEngine<SimWorld>),
-}
-
-impl Harness {
-    fn world(&mut self) -> &mut SimWorld {
-        match self {
-            Harness::Seq(e) => &mut e.state,
-            Harness::Shard(s) => s.state(),
-        }
-    }
-    fn issue(&mut self, loc: LocalityId, f: impl FnOnce(&mut Engine<SimWorld>) + 'static) {
-        match self {
-            Harness::Seq(e) => f(e),
-            Harness::Shard(s) => s.drive_at(loc, f),
-        }
-    }
-    fn run_steps(&mut self, n: u64) {
-        match self {
-            Harness::Seq(e) => e.run_steps(n),
-            Harness::Shard(s) => s.run_steps(n),
-        };
-    }
-    fn run(&mut self) {
-        match self {
-            Harness::Seq(e) => e.run(),
-            Harness::Shard(s) => s.run(),
-        };
-    }
-    fn hash_now_events(&self) -> (u64, u64, u64) {
-        match self {
-            Harness::Seq(e) => (e.trace_hash(), e.now().ps(), e.events_executed()),
-            Harness::Shard(s) => (s.trace_hash(), s.now().ps(), s.events_executed()),
-        }
-    }
-}
-
 /// Everything a cell asserts on — and everything that must match between
 /// the sequential and sharded runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +135,7 @@ impl Report {
     }
 }
 
-fn run_cell(mode: GasMode, plan: &FaultPlan, seed: u64, shards: Option<usize>) -> Report {
+fn run_cell(mode: GasMode, plan: &FaultPlan, seed: u64, lanes: Lanes) -> Report {
     let n = LOCALITIES as u32;
     let mut world = SimWorld::new(LOCALITIES, mode, NetConfig::ideal());
     world.data.cluster.faults = Some(FaultPlane::new(plan.clone()));
@@ -183,14 +145,8 @@ fn run_cell(mode: GasMode, plan: &FaultPlan, seed: u64, shards: Option<usize>) -
         g.cfg.retry_on_deadline = true;
         g.cfg.record_history = true;
     }
-    let mut h = match shards {
-        None => Harness::Seq(Engine::new(world, seed)),
-        Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
-    };
-    let arr: GlobalArray = match &mut h {
-        Harness::Seq(e) => alloc_array(e, BLOCKS, 12, Distribution::Cyclic),
-        Harness::Shard(s) => s.drive(|e| alloc_array(e, BLOCKS, 12, Distribution::Cyclic)),
-    };
+    let mut h = Harness::with_world(world, seed, lanes);
+    let arr: GlobalArray = h.alloc(BLOCKS, 12);
 
     let mut puts_issued = 0u64;
     let mut gets_issued = 0u64;
@@ -234,9 +190,7 @@ fn run_cell(mode: GasMode, plan: &FaultPlan, seed: u64, shards: Option<usize>) -
 
         h.run_steps(64);
     }
-    h.run();
-
-    let (trace_hash, end_ps, events) = h.hash_now_events();
+    let (trace_hash, end_ps, events) = h.finish();
     let blocks: Vec<Gva> = arr.blocks.clone();
     let w = h.world();
     Report {
@@ -268,7 +222,7 @@ fn run_cell(mode: GasMode, plan: &FaultPlan, seed: u64, shards: Option<usize>) -
 /// Run one cell sequentially and under `shards` lanes; demand correctness
 /// of both and bit-identical reports.
 fn assert_cell(name: &str, mode: GasMode, plan: &FaultPlan, seed: u64, shards: usize) -> Report {
-    let seq = run_cell(mode, plan, seed, None);
+    let seq = run_cell(mode, plan, seed, Lanes::Seq);
     assert!(
         seq.violations.is_empty(),
         "{name}/seq seed={seed}: violations {:?}",
@@ -280,7 +234,7 @@ fn assert_cell(name: &str, mode: GasMode, plan: &FaultPlan, seed: u64, shards: u
     );
     assert_eq!(seq.data_mismatches, 0, "{name}/seq seed={seed}");
 
-    let sh = run_cell(mode, plan, seed, Some(shards));
+    let sh = run_cell(mode, plan, seed, Lanes::Fixed(shards));
     assert_eq!(
         sh, seq,
         "{name} seed={seed}: sharded run diverged from sequential"

@@ -15,9 +15,9 @@
 
 use crate::parcel::{ActionId, Parcel, ACTION_LCO_SET};
 use crate::sched;
-use crate::world::{RtWorld, World};
+use crate::world::{DriverCb, World};
 use agas::Gva;
-use netsim::{Engine, LocalityId};
+use netsim::{Engine, LocalityId, Time};
 
 /// The GVA size class reserved for LCOs (8-byte blocks, never in the BTT).
 pub const LCO_CLASS: u8 = 3;
@@ -80,7 +80,7 @@ enum Waiter {
         cont: Option<Gva>,
     },
     /// Invoke a driver callback (benchmark harness / example drivers).
-    Driver(u64),
+    Driver(DriverCb),
 }
 
 /// One LCO's state, stored at its home locality.
@@ -102,12 +102,12 @@ impl LcoState {
     }
 }
 
-fn new_lco<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, kind: LcoKind) -> Gva {
-    let rt = &mut eng.state.rt(loc);
+fn new_lco(eng: &mut Engine<World>, loc: LocalityId, kind: LcoKind) -> Gva {
+    let rt = &mut eng.state.rt[loc as usize];
     let seq = rt.next_lco_seq;
     rt.next_lco_seq += 1;
     let gva = Gva::new(loc, LCO_CLASS, seq, 0);
-    eng.state.rt(loc).lcos.insert(
+    rt.lcos.insert(
         gva.0,
         LcoState {
             kind,
@@ -119,18 +119,18 @@ fn new_lco<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, kind: LcoKind) -> G
 }
 
 /// Create a future at `loc`.
-pub fn new_future<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId) -> Gva {
+pub fn new_future(eng: &mut Engine<World>, loc: LocalityId) -> Gva {
     new_lco(eng, loc, LcoKind::Future)
 }
 
 /// Create an and-gate at `loc` that triggers after `n` sets.
-pub fn new_and<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64) -> Gva {
+pub fn new_and(eng: &mut Engine<World>, loc: LocalityId, n: u64) -> Gva {
     assert!(n > 0, "and-gate needs at least one input");
     new_lco(eng, loc, LcoKind::And { remaining: n })
 }
 
 /// Create a reduce LCO at `loc` over `n` contributions.
-pub fn new_reduce<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64, op: ReduceOp) -> Gva {
+pub fn new_reduce(eng: &mut Engine<World>, loc: LocalityId, n: u64, op: ReduceOp) -> Gva {
     assert!(n > 0, "reduction needs at least one input");
     new_lco(
         eng,
@@ -145,7 +145,7 @@ pub fn new_reduce<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64, op: 
 
 /// Create a gather LCO at `loc` over `n` rank-prefixed contributions
 /// (see [`set_gather`] / [`decode_gather`]).
-pub fn new_gather<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64) -> Gva {
+pub fn new_gather(eng: &mut Engine<World>, loc: LocalityId, n: u64) -> Gva {
     assert!(n > 0, "gather needs at least one input");
     new_lco(
         eng,
@@ -158,13 +158,7 @@ pub fn new_gather<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64) -> G
 }
 
 /// Contribute `value` from `rank` to a gather LCO.
-pub fn set_gather<W: RtWorld>(
-    eng: &mut Engine<W>,
-    from: LocalityId,
-    lco: Gva,
-    rank: u32,
-    value: &[u8],
-) {
+pub fn set_gather(eng: &mut Engine<World>, from: LocalityId, lco: Gva, rank: u32, value: &[u8]) {
     let mut buf = Vec::with_capacity(value.len() + 4);
     buf.extend_from_slice(&rank.to_le_bytes());
     buf.extend_from_slice(value);
@@ -186,16 +180,16 @@ pub fn decode_gather(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
 }
 
 /// Set/contribute to `lco` from `from`. Remote sets travel as parcels.
-pub fn lco_set<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, lco: Gva, value: Vec<u8>) {
+pub fn lco_set(eng: &mut Engine<World>, from: LocalityId, lco: Gva, value: Vec<u8>) {
     debug_assert_eq!(lco.class(), LCO_CLASS, "lco_set on a non-LCO address");
     let home = lco.home();
     if home == from {
         // Local set still pays a small scheduler cost for determinism with
         // the remote path's handler charge.
-        let service = eng.state.rtcfg().lco_op;
+        let service = eng.state.rtcfg.lco_op;
         let now = eng.now();
-        let (_, finish) = eng.state.cpu(from).admit(now, service);
-        eng.state.cluster().loc_mut(from).counters.cpu_busy += service;
+        let (_, finish) = eng.state.cpus[from as usize].admit(now, service);
+        eng.state.cluster.loc_mut(from).counters.cpu_busy += service;
         eng.schedule_at(finish, move |eng| apply(eng, home, lco, value));
     } else {
         sched::send_parcel(
@@ -214,11 +208,9 @@ pub fn lco_set<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, lco: Gva, valu
 }
 
 /// Apply a set at the LCO's home (called by the scheduler for LCO parcels).
-pub(crate) fn apply<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, lco: Gva, value: Vec<u8>) {
-    eng.state.rt(loc).stats.lco_ops += 1;
-    let state = eng
-        .state
-        .rt(loc)
+pub(crate) fn apply(eng: &mut Engine<World>, loc: LocalityId, lco: Gva, value: Vec<u8>) {
+    eng.state.rt[loc as usize].stats.lco_ops += 1;
+    let state = eng.state.rt[loc as usize]
         .lcos
         .get_mut(&lco.0)
         .unwrap_or_else(|| panic!("set of unknown LCO {lco:?}"));
@@ -269,7 +261,7 @@ pub(crate) fn apply<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, lco: Gva, 
     }
 }
 
-fn fire<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiters: Vec<Waiter>, value: Vec<u8>) {
+fn fire(eng: &mut Engine<World>, loc: LocalityId, waiters: Vec<Waiter>, value: Vec<u8>) {
     for w in waiters {
         match w {
             Waiter::Parcel {
@@ -292,9 +284,7 @@ fn fire<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiters: Vec<Waiter>, 
                     },
                 );
             }
-            Waiter::Driver(id) => {
-                W::notify_driver(eng, loc, id, value.clone());
-            }
+            Waiter::Driver(cb) => run_driver_cb(eng, cb, value.clone()),
         }
     }
 }
@@ -302,8 +292,8 @@ fn fire<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiters: Vec<Waiter>, 
 /// When `lco` triggers, spawn `action` at `target` with `prefix ++ value`
 /// as arguments. Must be called at the LCO's home locality (driver code can
 /// always do this; actions receive LCO homes explicitly).
-pub fn attach_parcel<W: RtWorld>(
-    eng: &mut Engine<W>,
+pub fn attach_parcel(
+    eng: &mut Engine<World>,
     lco: Gva,
     target: Gva,
     action: ActionId,
@@ -311,9 +301,7 @@ pub fn attach_parcel<W: RtWorld>(
     cont: Option<Gva>,
 ) {
     let loc = lco.home();
-    let state = eng
-        .state
-        .rt(loc)
+    let state = eng.state.rt[loc as usize]
         .lcos
         .get_mut(&lco.0)
         .unwrap_or_else(|| panic!("attach to unknown LCO {lco:?}"));
@@ -342,48 +330,32 @@ pub fn attach_parcel<W: RtWorld>(
     }
 }
 
-/// When `lco` triggers, notify driver slot `id` through
-/// [`RtWorld::notify_driver`] — immediately if the LCO already fired.
-/// The world decides what a slot means: the classic [`crate::World`] maps
-/// it to a boxed callback, the sharded world records `(id, value)` for
-/// post-run inspection.
-pub fn attach_driver_slot<W: RtWorld>(eng: &mut Engine<W>, lco: Gva, id: u64) {
-    let loc = lco.home();
-    let ready = eng
-        .state
-        .rt(loc)
-        .lcos
-        .get(&lco.0)
-        .unwrap_or_else(|| panic!("wait on unknown LCO {lco:?}"))
-        .value
-        .clone();
-    if let Some(v) = ready {
-        W::notify_driver(eng, loc, id, v);
-    } else {
-        eng.state
-            .rt(loc)
-            .lcos
-            .get_mut(&lco.0)
-            .unwrap()
-            .waiters
-            .push(Waiter::Driver(id));
-    }
-}
-
 /// When `lco` triggers, invoke `cb` with the value (driver-side waiting —
-/// how benchmarks and examples observe completion).
+/// how benchmarks and examples observe completion) — on the next event at
+/// the current time if the LCO already fired.
 pub fn attach_driver(
     eng: &mut Engine<World>,
     lco: Gva,
     cb: impl FnOnce(&mut Engine<World>, Vec<u8>) + 'static,
 ) {
-    let id = eng.state.next_driver_cb;
-    eng.state.next_driver_cb += 1;
-    eng.state.driver_cbs.insert(id, Box::new(cb));
-    attach_driver_slot(eng, lco, id);
+    let cb: DriverCb = Box::new(cb);
+    let state = eng.state.rt[lco.home() as usize]
+        .lcos
+        .get_mut(&lco.0)
+        .unwrap_or_else(|| panic!("wait on unknown LCO {lco:?}"));
+    match state.value.clone() {
+        Some(v) => run_driver_cb(eng, cb, v),
+        None => state.waiters.push(Waiter::Driver(cb)),
+    }
+}
+
+/// Run a driver callback as a zero-delay scheduled event, never inline, so
+/// it observes the world after the firing event finished.
+fn run_driver_cb(eng: &mut Engine<World>, cb: DriverCb, value: Vec<u8>) {
+    eng.schedule(Time::ZERO, move |eng| cb(eng, value));
 }
 
 /// Inspect an LCO's state (driver/diagnostics).
-pub fn peek<W: RtWorld>(world: &W, lco: Gva) -> Option<&LcoState> {
-    world.rt_ref(lco.home()).lcos.get(&lco.0)
+pub fn peek(world: &World, lco: Gva) -> Option<&LcoState> {
+    world.rt[lco.home() as usize].lcos.get(&lco.0)
 }

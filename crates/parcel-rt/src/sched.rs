@@ -6,15 +6,10 @@
 //! the GAS software handlers — in software-AGAS mode remote memory traffic
 //! and application actions fight for the same cores, which is precisely
 //! the contention the network-managed design removes.
-//!
-//! Everything here is generic over [`RtWorld`], so the same scheduler
-//! drives the classic single-threaded [`crate::World`] and the lane-safe
-//! [`crate::ShardWorld`] running under a
-//! [`ShardedEngine`](netsim::ShardedEngine).
 
 use crate::lco::{self, LCO_CLASS};
 use crate::parcel::{ActionCtx, Parcel, ACTION_LCO_SET};
-use crate::world::{RtWorld, Transport, PARCEL_TAG};
+use crate::world::{Msg, Transport, World, PARCEL_TAG};
 
 use netsim::{send_user, Batch, Desc, Engine, LocalityId, Post, Time, TraceKind};
 
@@ -22,8 +17,8 @@ const MAX_PARCEL_HOPS: u8 = 64;
 
 /// Inject `parcel` from `from`: route it toward the believed owner of its
 /// target and send (loop-back when the first hop is local).
-pub fn send_parcel<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, parcel: Parcel) {
-    eng.state.rt(from).stats.parcels_sent += 1;
+pub fn send_parcel(eng: &mut Engine<World>, from: LocalityId, parcel: Parcel) {
+    eng.state.rt[from as usize].stats.parcels_sent += 1;
     let first_hop = if parcel.target.class() == LCO_CLASS {
         parcel.target.home()
     } else {
@@ -36,17 +31,17 @@ pub fn send_parcel<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, parcel: Pa
 }
 
 /// Put a parcel on the wire toward `next` using the configured transport.
-pub(crate) fn transmit<W: RtWorld>(
-    eng: &mut Engine<W>,
+pub(crate) fn transmit(
+    eng: &mut Engine<World>,
     from: LocalityId,
     next: LocalityId,
     parcel: Parcel,
 ) {
-    match eng.state.rtcfg().transport {
+    match eng.state.rtcfg.transport {
         Transport::Pwc if from == next => {
             // Loop-back never touches the NIC, so it skips the rings.
             let wire = parcel.wire_size();
-            send_user(eng, from, next, wire, W::wrap_parcel(parcel));
+            send_user(eng, from, next, wire, Msg::Parcel(parcel));
         }
         Transport::Pwc => ring_submit(eng, from, next, parcel),
         Transport::Isir => {
@@ -61,12 +56,7 @@ pub(crate) fn transmit<W: RtWorld>(
 /// Post `parcel` as a descriptor into `from`'s submission ring toward
 /// `next`: send it now, arm the doorbell timer, or leave it buffered, as
 /// the ring directs.
-fn ring_submit<W: RtWorld>(
-    eng: &mut Engine<W>,
-    from: LocalityId,
-    next: LocalityId,
-    parcel: Parcel,
-) {
+fn ring_submit(eng: &mut Engine<World>, from: LocalityId, next: LocalityId, parcel: Parcel) {
     let now = eng.now();
     let desc = Desc {
         bytes: parcel.wire_size(),
@@ -74,7 +64,7 @@ fn ring_submit<W: RtWorld>(
         kind: "parcel",
         enqueued: now,
     };
-    let rings = &mut eng.state.rt(from).parcel_rings;
+    let rings = &mut eng.state.rt[from as usize].parcel_rings;
     match rings.post(next, desc) {
         Post::Issue(batch) => ring_doorbell(eng, from, next, batch),
         Post::Armed(epoch) => {
@@ -82,7 +72,7 @@ fn ring_submit<W: RtWorld>(
             // — and with it the moderation delay — since construction.
             let delay = rings.effective_delay(next);
             eng.schedule_at_loc(now + delay, from, move |eng| {
-                let rings = &mut eng.state.rt(from).parcel_rings;
+                let rings = &mut eng.state.rt[from as usize].parcel_rings;
                 if rings.timer_due(next, epoch) {
                     let batch = rings.drain(next);
                     ring_doorbell(eng, from, next, batch);
@@ -96,14 +86,14 @@ fn ring_submit<W: RtWorld>(
 /// Ring the doorbell: send `batch` toward `next` as one wire message
 /// (summed payloads). A parcel that passed straight through travels bare;
 /// a drained ring travels as one batch message.
-fn ring_doorbell<W: RtWorld>(
-    eng: &mut Engine<W>,
+fn ring_doorbell(
+    eng: &mut Engine<World>,
     from: LocalityId,
     next: LocalityId,
     batch: Batch<Parcel>,
 ) {
     let now = eng.now();
-    eng.state.cluster().tracer.record(
+    eng.state.cluster.tracer.record(
         now,
         TraceKind::Doorbell {
             at: from,
@@ -113,22 +103,17 @@ fn ring_doorbell<W: RtWorld>(
     );
     let wire: u32 = batch.iter().map(|d| d.bytes).sum();
     let msg = match batch {
-        Batch::One(d) => W::wrap_parcel(d.item),
+        Batch::One(d) => Msg::Parcel(d.item),
         Batch::Many(descs) => {
-            eng.state.rt(from).stats.batches_sent += 1;
-            W::wrap_batch(descs.into_iter().map(|d| d.item).collect())
+            eng.state.rt[from as usize].stats.batches_sent += 1;
+            Msg::ParcelBatch(descs.into_iter().map(|d| d.item).collect())
         }
     };
     send_user(eng, from, next, wire, msg);
 }
 
 /// A parcel arrived at `dst` (called from the world's packet dispatch).
-pub fn parcel_arrive<W: RtWorld>(
-    eng: &mut Engine<W>,
-    _src: LocalityId,
-    dst: LocalityId,
-    parcel: Parcel,
-) {
+pub fn parcel_arrive(eng: &mut Engine<World>, _src: LocalityId, dst: LocalityId, parcel: Parcel) {
     // LCO parcels: handled at the LCO's home with a light CPU charge.
     if parcel.target.class() == LCO_CLASS {
         let home = parcel.target.home();
@@ -137,10 +122,10 @@ pub fn parcel_arrive<W: RtWorld>(
             return;
         }
         debug_assert_eq!(parcel.action, ACTION_LCO_SET, "non-set parcel at an LCO");
-        let service = eng.state.rtcfg().lco_op;
+        let service = eng.state.rtcfg.lco_op;
         let now = eng.now();
-        let (_, finish) = eng.state.cpu(dst).admit(now, service);
-        eng.state.cluster().loc_mut(dst).counters.cpu_busy += service;
+        let (_, finish) = eng.state.cpus[dst as usize].admit(now, service);
+        eng.state.cluster.loc_mut(dst).counters.cpu_busy += service;
         let (lco, value) = (parcel.target, parcel.args);
         eng.schedule_at(finish, move |eng| lco::apply(eng, dst, lco, value));
         return;
@@ -149,16 +134,14 @@ pub fn parcel_arrive<W: RtWorld>(
         agas::ops::Route::Local { .. } => {
             // Charge the action dispatch + argument handling to a worker.
             let (base_cost, per_byte) = {
-                let c = eng.state.rtcfg();
+                let c = eng.state.rtcfg;
                 (c.action_base, c.recv_per_byte_ps)
             };
             let service = base_cost + Time::from_ps(parcel.args.len() as u64 * per_byte);
             let now = eng.now();
-            let (_, finish) = eng.state.cpu(dst).admit(now, service);
-            eng.state.cluster().loc_mut(dst).counters.cpu_busy += service;
-            let prof = eng
-                .state
-                .rt(dst)
+            let (_, finish) = eng.state.cpus[dst as usize].admit(now, service);
+            eng.state.cluster.loc_mut(dst).counters.cpu_busy += service;
+            let prof = eng.state.rt[dst as usize]
                 .action_profile
                 .entry(parcel.action.0)
                 .or_insert((0, Time::ZERO));
@@ -181,7 +164,7 @@ pub fn parcel_arrive<W: RtWorld>(
     }
 }
 
-fn forward<W: RtWorld>(eng: &mut Engine<W>, at: LocalityId, mut parcel: Parcel, next: LocalityId) {
+fn forward(eng: &mut Engine<World>, at: LocalityId, mut parcel: Parcel, next: LocalityId) {
     assert!(
         parcel.hops < MAX_PARCEL_HOPS,
         "parcel to {:?} forwarded {} times (routing loop?)",
@@ -189,7 +172,7 @@ fn forward<W: RtWorld>(eng: &mut Engine<W>, at: LocalityId, mut parcel: Parcel, 
         parcel.hops
     );
     parcel.hops += 1;
-    eng.state.rt(at).stats.parcels_forwarded += 1;
+    eng.state.rt[at as usize].stats.parcels_forwarded += 1;
     // A long chase means the target block is churning: back off so the
     // migration can commit instead of racing our retransmissions.
     let delay = if parcel.hops > 4 {
@@ -204,13 +187,13 @@ fn forward<W: RtWorld>(eng: &mut Engine<W>, at: LocalityId, mut parcel: Parcel, 
 }
 
 /// Run the action: pin the target block, invoke the handler, unpin.
-fn execute<W: RtWorld>(eng: &mut Engine<W>, dst: LocalityId, parcel: Parcel) {
+fn execute(eng: &mut Engine<World>, dst: LocalityId, parcel: Parcel) {
     let Some((base, class)) = agas::ops::pin(&mut eng.state, dst, parcel.target) else {
         // The block moved while the parcel queued; chase it.
         parcel_arrive(eng, dst, dst, parcel);
         return;
     };
-    eng.state.rt(dst).stats.parcels_executed += 1;
+    eng.state.rt[dst as usize].stats.parcels_executed += 1;
     let target = parcel.target;
     let ctx = ActionCtx {
         loc: dst,
@@ -221,13 +204,14 @@ fn execute<W: RtWorld>(eng: &mut Engine<W>, dst: LocalityId, parcel: Parcel) {
         cont: parcel.cont,
         src: parcel.src,
     };
-    W::run_action(eng, parcel.action, ctx);
+    let registry = eng.state.registry.clone();
+    registry.get(parcel.action)(eng, ctx);
     agas::ops::unpin(eng, dst, target);
 }
 
 /// Send `value` to an action's continuation LCO, if it has one. The usual
 /// last line of an action that produces a result.
-pub fn reply<W: RtWorld>(eng: &mut Engine<W>, ctx: &ActionCtx, value: Vec<u8>) {
+pub fn reply(eng: &mut Engine<World>, ctx: &ActionCtx, value: Vec<u8>) {
     if let Some(cont) = ctx.cont {
         lco::lco_set(eng, ctx.loc, cont, value);
     }

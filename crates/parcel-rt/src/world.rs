@@ -1,5 +1,7 @@
-//! The concrete simulated world: cluster + Photon endpoints + GAS state +
-//! runtime schedulers, with all the protocol glue traits implemented.
+//! The runtime's simulated world: cluster + Photon endpoints + GAS state +
+//! runtime schedulers, with all the protocol glue traits implemented. The
+//! scheduler ([`crate::sched`]), LCOs ([`crate::lco`]) and collectives are
+//! plain functions over `Engine<World>`.
 
 use crate::lco::LcoState;
 use crate::parcel::{ActionRegistry, Parcel};
@@ -117,36 +119,6 @@ impl RtLocal {
     }
 }
 
-/// World hooks the parcel scheduler and LCO layer need beyond
-/// [`GasWorld`]: runtime state, the action table, and the driver
-/// notification channel. Implemented by the classic single-threaded
-/// [`World`] (closure actions, driver callbacks) and by the lane-safe
-/// [`crate::ShardWorld`] (fn-pointer actions, recorded notifications) —
-/// one scheduler/LCO implementation serves both.
-pub trait RtWorld: GasWorld {
-    /// Per-locality runtime state.
-    fn rt(&mut self, loc: LocalityId) -> &mut RtLocal;
-    /// Shared access to per-locality runtime state (diagnostics).
-    fn rt_ref(&self, loc: LocalityId) -> &RtLocal;
-    /// Runtime tuning (uniform across the cluster).
-    fn rtcfg(&self) -> RtConfig;
-    /// Embed a parcel into the world's wire enum.
-    fn wrap_parcel(p: Parcel) -> Self::Msg;
-    /// Embed a coalesced parcel batch into the world's wire enum.
-    fn wrap_batch(b: Vec<Parcel>) -> Self::Msg;
-    /// Invoke the registered action body (the table's representation is
-    /// the world's business: boxed closures here, `fn` pointers in the
-    /// sharded world).
-    fn run_action(
-        eng: &mut Engine<Self>,
-        id: crate::parcel::ActionId,
-        ctx: crate::parcel::ActionCtx,
-    );
-    /// An LCO a driver was waiting on (slot `id`, see
-    /// [`crate::lco::attach_driver_slot`]) fired with `value`.
-    fn notify_driver(eng: &mut Engine<Self>, loc: LocalityId, id: u64, value: Vec<u8>);
-}
-
 /// The wire message enum: everything that travels between localities.
 #[derive(Debug)]
 pub enum Msg {
@@ -203,8 +175,6 @@ pub struct World {
     /// flight by the fault plane).
     pub corrupt_parcels: u64,
     pub(crate) completions: OpTable<Completion>,
-    pub(crate) driver_cbs: HashMap<u64, DriverCb>,
-    pub(crate) next_driver_cb: u64,
 }
 
 impl World {
@@ -235,8 +205,6 @@ impl World {
             stale_completions: 0,
             corrupt_parcels: 0,
             completions: OpTable::new(),
-            driver_cbs: HashMap::new(),
-            next_driver_cb: 0,
         }
     }
 
@@ -314,31 +282,7 @@ impl World {
     pub fn total_gas_stats(&self) -> agas::GasStats {
         let mut total = agas::GasStats::default();
         for g in &self.gas {
-            let s = g.stats;
-            total.puts += s.puts;
-            total.gets += s.gets;
-            total.amos += s.amos;
-            total.local_ops += s.local_ops;
-            total.remote_ops += s.remote_ops;
-            total.retries += s.retries;
-            total.dir_queries += s.dir_queries;
-            total.sw_puts_handled += s.sw_puts_handled;
-            total.sw_gets_handled += s.sw_gets_handled;
-            total.sw_amos_handled += s.sw_amos_handled;
-            total.amo_replays += s.amo_replays;
-            total.sw_fallbacks += s.sw_fallbacks;
-            total.migrations_started += s.migrations_started;
-            total.migrations_done += s.migrations_done;
-            total.stale_completions += s.stale_completions;
-            total.protocol_violations += s.protocol_violations;
-            total.deadline_exceeded += s.deadline_exceeded;
-            total.deadline_retries += s.deadline_retries;
-            total.ops_failed += s.ops_failed;
-            total.shm_ops += s.shm_ops;
-            total.shm_bytes += s.shm_bytes;
-            total.blocks_rehomed += s.blocks_rehomed;
-            total.blocks_recovered += s.blocks_recovered;
-            total.stale_xlate_dropped += s.stale_xlate_dropped;
+            total.absorb(&g.stats);
         }
         total
     }
@@ -448,40 +392,6 @@ impl PhotonWorld for World {
     }
     fn pwc_amo_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, result: AmoResult) {
         agas::ops::on_pwc_amo_complete(eng, loc, ctx, result);
-    }
-}
-
-impl RtWorld for World {
-    fn rt(&mut self, loc: LocalityId) -> &mut RtLocal {
-        &mut self.rt[loc as usize]
-    }
-    fn rt_ref(&self, loc: LocalityId) -> &RtLocal {
-        &self.rt[loc as usize]
-    }
-    fn rtcfg(&self) -> RtConfig {
-        self.rtcfg
-    }
-    fn wrap_parcel(p: Parcel) -> Msg {
-        Msg::Parcel(p)
-    }
-    fn wrap_batch(b: Vec<Parcel>) -> Msg {
-        Msg::ParcelBatch(b)
-    }
-    fn run_action(
-        eng: &mut Engine<Self>,
-        id: crate::parcel::ActionId,
-        ctx: crate::parcel::ActionCtx,
-    ) {
-        let registry = eng.state.registry.clone();
-        registry.get(id)(eng, ctx);
-    }
-    fn notify_driver(eng: &mut Engine<Self>, _loc: LocalityId, id: u64, value: Vec<u8>) {
-        let cb = eng
-            .state
-            .driver_cbs
-            .remove(&id)
-            .expect("driver waiter vanished");
-        eng.schedule(Time::ZERO, move |eng| cb(eng, value));
     }
 }
 
